@@ -3,10 +3,10 @@
 The execution environment has setuptools but no ``wheel`` package, so
 PEP 517 editable installs (which build a wheel) fail.  Keeping a classic
 ``setup.py`` lets ``pip install -e .`` fall back to the legacy
-``setup.py develop`` path, which works offline.  All metadata lives in
-``pyproject.toml``.
+``setup.py develop`` path, which works offline.  The version tracks
+``repro.__version__``.
 """
 
 from setuptools import setup
 
-setup()
+setup(version="2.0.0")

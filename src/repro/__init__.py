@@ -112,7 +112,7 @@ from repro.storage import (
     extract,
 )
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "EARTH",

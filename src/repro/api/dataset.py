@@ -1,7 +1,7 @@
 """Datasets: one uniform serving handle over every block kind.
 
 A :class:`Dataset` wraps a plain :class:`~repro.core.geoblock.GeoBlock`,
-a prefix-sharded :class:`~repro.engine.shards.ShardedGeoBlock`, or a
+a curve-sharded :class:`~repro.engine.shards.ShardedGeoBlock`, or a
 query-cache accelerated
 :class:`~repro.core.adaptive.AdaptiveGeoBlock` behind one handle:
 ``build`` / ``open`` / ``save`` dispatch on the block kind, and every
@@ -23,7 +23,7 @@ Query v2 adds three serving surfaces on top:
   searches, record dedup, covering-cache reuse) plus a combined rollup;
 * **appends** (:meth:`Dataset.append`): new rows fold into the block in
   place through :mod:`repro.core.updates` (trie refresh on adaptive,
-  dirty-shard bookkeeping on sharded), bump the dataset's
+  shard-bound bookkeeping on sharded), bump the dataset's
   monotonically increasing :attr:`version` -- stamped into every
   response -- and propagate to cached views whose predicate matches.
 
@@ -200,7 +200,6 @@ class Dataset:
         name: str | None = None,
         predicate: Predicate = ALWAYS_TRUE,
         policy: CachePolicy | None = None,
-        shard_level: int | None = None,
         shard_count: int | None = None,
         cache: TieredCache | None = None,
         result_cache: bool = True,
@@ -211,19 +210,16 @@ class Dataset:
         (:meth:`view`) rebuild per-predicate blocks from it on demand.
         ``cache`` binds the dataset to a private tiered cache (default:
         the process-wide shared one); ``result_cache=False`` turns off
-        whole-answer caching while keeping covering reuse.  For sharded
-        datasets the default is the curve layout with cost-model splits;
-        ``shard_count`` pins the partition width (reproducible layouts),
-        while ``shard_level`` selects the legacy prefix layout.
+        whole-answer caching while keeping covering reuse.  Sharded
+        datasets partition by curve key with cost-model splits;
+        ``shard_count`` pins the partition width (reproducible layouts).
         """
         if kind == "geoblock":
             handle: Handle = GeoBlock.build(base, level, predicate)
         elif kind == "sharded":
             from repro.engine.shards import ShardedGeoBlock
 
-            handle = ShardedGeoBlock.build(
-                base, level, predicate, shard_level=shard_level, shard_count=shard_count
-            )
+            handle = ShardedGeoBlock.build(base, level, predicate, shard_count=shard_count)
         elif kind == "adaptive":
             handle = AdaptiveGeoBlock(GeoBlock.build(base, level, predicate), policy)
         else:
@@ -430,30 +426,17 @@ class Dataset:
         elif self._handle.kind == "sharded":
             from repro.engine.shards import ShardedGeoBlock
 
-            # The view inherits the parent's layout: same prefix level,
-            # or -- under the curve layout -- the parent's split points,
-            # so parent and view route queries along identical shard
-            # boundaries.
-            if self._handle.layout == "prefix":
-                handle = ShardedGeoBlock.build(
-                    self._base,
-                    self.level,
-                    predicate,
-                    shard_level=self._handle.shard_level,
-                )
-            else:
-                handle = ShardedGeoBlock.build(
-                    self._base,
-                    self.level,
-                    predicate,
-                    layout="curve",
-                    splits=self._handle.splits,
-                    shard_count=(
-                        self._handle.shard_count_hint
-                        if self._handle.splits is None
-                        else None
-                    ),
-                )
+            # The view inherits the parent's split points, so parent and
+            # view route queries along identical shard boundaries.
+            handle = ShardedGeoBlock.build(
+                self._base,
+                self.level,
+                predicate,
+                splits=self._handle.splits,
+                shard_count=(
+                    self._handle.shard_count_hint if self._handle.splits is None else None
+                ),
+            )
         else:
             handle = GeoBlock.build(self._base, self.level, predicate)
         view = Dataset(handle, name=self.name, base=self._base, parent=self)
@@ -620,8 +603,8 @@ class Dataset:
 
         Each row is ``{"x": ..., "y": ..., <column>: ...}`` with every
         schema column present.  On adaptive handles cached trie
-        ancestors refresh; on sharded handles the touched shards turn
-        dirty.  Cached filtered views receive the rows matching their
+        ancestors refresh; on sharded handles the owning shard's bounds
+        grow.  Cached filtered views receive the rows matching their
         predicate, and every view's version advances in lockstep with
         the parent, so responses from any view reflect the append.
         """
@@ -1105,15 +1088,7 @@ class Dataset:
         Errors propagate as :class:`ApiError`; use
         :meth:`GeoService.run_dict` for the never-raises envelope.
         """
-        from repro.api.request import warn_v1_payload
-
-        request = QueryRequest.from_dict(payload)
-        legacy = "v" not in payload or payload.get("v") == 1
-        if "v" not in payload:
-            # After parsing: malformed dicts must not consume the
-            # once-per-process warning (see GeoService.run_dict).
-            warn_v1_payload()
-        return self.query(request).to_dict(legacy_stats=legacy)
+        return self.query(QueryRequest.from_dict(payload)).to_dict()
 
     def run_batch(self, requests: Sequence) -> list[QueryResponse]:
         """Answer many requests in one engine pass.

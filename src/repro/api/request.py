@@ -33,9 +33,8 @@ paper's GeoBlock-per-filter design, Section 3.3).  The write path has
 its own shape -- ``{"v": 2, "op": "append", "rows": [...]}`` -- parsed
 by :class:`AppendRequest`.
 
-v1 dicts (no ``"v"`` key, no v2-only keys) are still accepted and
-up-converted; the wire entry points of :mod:`repro.api.service` emit a
-``DeprecationWarning`` once per process for them.
+Every wire dict must carry ``"v": 2``; a versionless payload (the
+retired v1 envelope) or any other version is a ``bad_request``.
 
 Hints split cleanly across the engine seam: ``cache`` is consumed by
 the *planner* (whether plans carry AggregateTrie probe decisions),
@@ -48,7 +47,6 @@ channel.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
@@ -84,51 +82,9 @@ HINT_KEYS = ("mode", "cache", "count_only")
 WIRE_VERSION = 2
 
 _REQUEST_KEYS = ("v", "op", "dataset", "region", "group_by", "where", "aggregates", "hints")
-_V2_ONLY_KEYS = ("v", "op", "group_by", "where")
 
 #: Default output aggregates when a request names none.
 DEFAULT_AGGREGATES = (AggSpec("count"),)
-
-# One DeprecationWarning per process for versionless v1 wire payloads
-# (the service entry points call warn_v1_payload; programmatic
-# construction never warns).
-_v1_warned = False
-
-# Likewise one warning per process for the flat legacy stats keys,
-# which only v1 responses still carry (v2 responses moved to the
-# structured ``stats.cache`` / ``stats.mv`` blocks).
-_legacy_stats_warned = False
-
-
-def warn_v1_payload() -> None:
-    """Emit the once-per-process v1 wire-format deprecation warning."""
-    global _v1_warned
-    if _v1_warned:
-        return
-    _v1_warned = True
-    warnings.warn(
-        'versionless query dicts are deprecated; add \'"v": 2\' to the payload '
-        "(v1 requests are up-converted and keep answering identically)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def warn_legacy_stats() -> None:
-    """Emit the once-per-process flat-stats deprecation warning (fired
-    when a response is rendered with the v1 legacy stats keys)."""
-    global _legacy_stats_warned
-    if _legacy_stats_warned:
-        return
-    _legacy_stats_warned = True
-    warnings.warn(
-        "flat 'cache_hits'/'covering_cached' stats keys are deprecated and "
-        "only emitted for v1 requests; read the structured 'stats.cache' and "
-        "'stats.mv' blocks instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 def parse_where(payload: object) -> Predicate:
     """Parse a request's ``where`` payload into a predicate.
@@ -375,13 +331,8 @@ class QueryRequest:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "QueryRequest":
-        """Parse a wire dict (strict: unknown keys are client errors).
-
-        Accepts both envelopes: v2 (``"v": 2``) and versionless v1,
-        which is up-converted -- v2-only keys on a versionless payload
-        are rejected so that a typo'd ``"v"`` can never silently change
-        query semantics.
-        """
+        """Parse a wire dict (strict: unknown keys are client errors,
+        and the envelope must say ``"v": 2``)."""
         if not isinstance(payload, Mapping):
             raise ApiError(
                 BAD_REQUEST, f"query must be an object, got {type(payload).__name__}"
@@ -393,26 +344,10 @@ class QueryRequest:
                 f"unknown request key(s) {unknown}; expected {list(_REQUEST_KEYS)}",
                 details={"unknown": unknown},
             )
-        version = payload.get("v")
-        if version is None:
-            v2_keys = sorted(set(payload) & set(_V2_ONLY_KEYS))
-            if v2_keys:
-                raise ApiError(
-                    BAD_REQUEST,
-                    f"key(s) {v2_keys} need the v2 envelope; add '\"v\": 2'",
-                    details={"v2_only": v2_keys},
-                )
-        elif version not in (1, WIRE_VERSION):
+        if payload.get("v") != WIRE_VERSION:
             raise ApiError(
                 BAD_REQUEST,
-                f"unsupported envelope version {version!r}; this server speaks "
-                f"v1 and v{WIRE_VERSION}",
-            )
-        elif version == 1 and (set(payload) & set(_V2_ONLY_KEYS)) - {"v"}:
-            raise ApiError(
-                BAD_REQUEST,
-                "v1 requests cannot carry v2 keys "
-                f"{sorted((set(payload) & set(_V2_ONLY_KEYS)) - {'v'})}",
+                f"query needs the v{WIRE_VERSION} envelope ('\"v\": {WIRE_VERSION}')",
             )
         op = payload.get("op", "query")
         if op != "query":
@@ -422,7 +357,7 @@ class QueryRequest:
                 "append payloads are parsed by AppendRequest",
             )
         if "region" not in payload and "group_by" not in payload:
-            raise ApiError(BAD_REQUEST, "query needs a 'region' (or v2 'group_by')")
+            raise ApiError(BAD_REQUEST, "query needs a 'region' or a 'group_by'")
         if "region" in payload and "group_by" in payload:
             raise ApiError(BAD_REQUEST, "'region' and 'group_by' are mutually exclusive")
         dataset = payload.get("dataset")
@@ -484,19 +419,11 @@ class QueryStats:
     #: grouped requests, like ``cells_probed``.
     shards_pruned: int = 0
 
-    def to_dict(self, legacy: bool = False) -> dict:
+    def to_dict(self) -> dict:
         """The stats object: structured ``cache``, ``mv``, and
         ``shards`` blocks plus the undisputed flat facts (cells probed,
-        latency).
-
-        ``legacy=True`` -- the v1 up-convert path -- additionally emits
-        the deprecated flat ``cache_hits`` / ``covering_cached`` mirror
-        keys (once-per-process DeprecationWarning); v2 responses dropped
-        them in favour of the blocks.  The ``shards`` block is v2-only
-        by the same principle: the v1 mirror is frozen and never grows
-        new keys.
-        """
-        payload: dict = {
+        latency)."""
+        return {
             "cells_probed": self.cells_probed,
             "latency_ms": self.latency_ms,
             "cache": {
@@ -507,11 +434,6 @@ class QueryStats:
             "mv": {"cached": self.mv_cached},
             "shards": {"total": self.shards_total, "pruned": self.shards_pruned},
         }
-        if legacy:
-            warn_legacy_stats()
-            payload["cache_hits"] = self.cache_hits
-            payload["covering_cached"] = self.covering_cached
-        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "QueryStats":
@@ -523,9 +445,9 @@ class QueryStats:
         shards = shards if isinstance(shards, Mapping) else {}
         return cls(
             cells_probed=int(payload.get("cells_probed", 0)),
-            cache_hits=int(payload.get("cache_hits", cache.get("trie_hits", 0))),
+            cache_hits=int(cache.get("trie_hits", 0)),
             latency_ms=float(payload.get("latency_ms", 0.0)),
-            covering_cached=int(payload.get("covering_cached", cache.get("covering_cached", 0))),
+            covering_cached=int(cache.get("covering_cached", 0)),
             result_cached=int(cache.get("result_cached", 0)),
             mv_cached=int(mv.get("cached", 0)),
             shards_total=int(shards.get("total", 0)),
@@ -579,7 +501,7 @@ class QueryResponse:
     groups: tuple[GroupRow, ...] | None = None
     #: The answering dataset's monotonically bumped version (appends
     #: advance it), so readers can detect staleness.  None only when a
-    #: response is rebuilt from a v1 wire dict that lacks it.
+    #: response is rebuilt from a wire dict that lacks it.
     version: int | None = None
 
     def __getitem__(self, key: str) -> float:
@@ -596,9 +518,8 @@ class QueryResponse:
                 return row
         raise KeyError(name)
 
-    def to_dict(self, legacy_stats: bool = False) -> dict:
-        """The success envelope; ``legacy_stats=True`` (the v1
-        up-convert path) keeps the deprecated flat stats mirror keys."""
+    def to_dict(self) -> dict:
+        """The success envelope."""
         data: dict = {"values": dict(self.values), "count": self.count}
         if self.groups is not None:
             data["groups"] = [row.to_dict() for row in self.groups]
@@ -606,7 +527,7 @@ class QueryResponse:
             "ok": True,
             "v": WIRE_VERSION,
             "data": data,
-            "stats": self.stats.to_dict(legacy=legacy_stats),
+            "stats": self.stats.to_dict(),
         }
         if self.dataset is not None:
             payload["dataset"] = self.dataset
@@ -654,7 +575,7 @@ class QueryResponse:
 class AppendRequest:
     """The write path: fold new rows into a dataset's block in place.
 
-    Wire shape (v2 only -- the write path has no v1 form)::
+    Wire shape::
 
         {"v": 2, "op": "append", "dataset": "taxi",
          "rows": [{"x": -73.98, "y": 40.75, "fare": 12.5, ...}, ...]}
@@ -697,8 +618,7 @@ class AppendRequest:
         if payload.get("v") != WIRE_VERSION:
             raise ApiError(
                 BAD_REQUEST,
-                f"append needs the v{WIRE_VERSION} envelope ('\"v\": {WIRE_VERSION}'); "
-                "the write path has no v1 form",
+                f"append needs the v{WIRE_VERSION} envelope ('\"v\": {WIRE_VERSION}')",
             )
         unknown = sorted(set(payload) - set(cls._KEYS))
         if unknown:
@@ -769,7 +689,7 @@ class AppendResponse:
 class MaterializeRequest:
     """Pin one query as a materialized view (the ``materialize`` op).
 
-    Wire shape (v2 only -- the op is part of the v2.1 surface)::
+    Wire shape::
 
         {"v": 2, "op": "materialize", "dataset": "taxi",
          "region": {...}, "aggregates": ["count", "avg:fare"],
@@ -817,8 +737,7 @@ class MaterializeRequest:
         if payload.get("v") != WIRE_VERSION:
             raise ApiError(
                 BAD_REQUEST,
-                f"materialize needs the v{WIRE_VERSION} envelope "
-                f"('\"v\": {WIRE_VERSION}'); view management has no v1 form",
+                f"materialize needs the v{WIRE_VERSION} envelope ('\"v\": {WIRE_VERSION}')",
             )
         unknown = sorted(set(payload) - set(cls._KEYS))
         if unknown:

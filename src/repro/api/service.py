@@ -6,7 +6,9 @@ dicts, or fluent builders -- singly or in batches.  ``run_dict`` is the
 transport-facing entry point: it never raises for request-shaped
 failures; every outcome is an envelope, ``{"ok": true, ...}`` or the
 unified error envelope, so an HTTP layer reduces to
-``json.dumps(service.run_dict(json.loads(body)))``.
+``json.dumps(service.run_dict(json.loads(body)))``.  Every wire dict
+must carry ``"v": 2``; anything else answers a ``bad_request``
+envelope.
 
 Batches are fanned out per dataset into the engine's batched executor
 (shared binary searches, dedup'd range records, per-shard thread-pool
@@ -36,7 +38,6 @@ from repro.api.request import (
     QueryRequest,
     QueryResponse,
     as_request,
-    warn_v1_payload,
 )
 
 
@@ -305,13 +306,12 @@ class GeoService:
     _DROP_VIEW_KEYS = ("v", "op", "dataset", "name")
 
     def _check_op_payload(self, payload: Mapping, op: str, keys: tuple) -> None:
-        """Envelope discipline shared by the v2-only management ops:
+        """Envelope discipline shared by the view-management ops:
         exact version, no unknown keys (same strictness as queries)."""
         if payload.get("v") != WIRE_VERSION:
             raise ApiError(
                 BAD_REQUEST,
-                f"{op} needs the v{WIRE_VERSION} envelope ('\"v\": {WIRE_VERSION}'); "
-                "view management has no v1 form",
+                f"{op} needs the v{WIRE_VERSION} envelope ('\"v\": {WIRE_VERSION}')",
             )
         unknown = sorted(set(payload) - set(keys))
         if unknown:
@@ -329,20 +329,13 @@ class GeoService:
         raises for request-shaped failures.
 
         Dispatches on ``"op"``: queries (the default), appends, and the
-        v2.1 view-management ops (``materialize`` / ``views`` /
+        view-management ops (``materialize`` / ``views`` /
         ``drop_view``) share the one entry point, so an HTTP adapter
-        stays a single route.  Versionless v1 payloads are up-converted
-        and answered identically -- including the deprecated flat stats
-        mirror keys -- with a ``DeprecationWarning`` once per process;
-        v2 responses carry only the structured ``stats.cache`` /
-        ``stats.mv`` blocks.
+        stays a single route.
         """
         try:
             op = payload.get("op") if isinstance(payload, Mapping) else None
             if op == "append":
-                # No v1 form exists for appends: a versionless append is
-                # a plain client error, not a deprecated query -- it
-                # must not consume the once-per-process warning.
                 return self.append(AppendRequest.from_dict(payload)).to_dict()
             if op == "materialize":
                 request = MaterializeRequest.from_dict(payload)
@@ -367,13 +360,7 @@ class GeoService:
                     "v": WIRE_VERSION,
                     "data": self.drop_view(name, payload.get("dataset")),
                 }
-            request = QueryRequest.from_dict(payload)
-            legacy = "v" not in payload or payload.get("v") == 1
-            if "v" not in payload:
-                # Warn only after the payload parsed as a real v1 query;
-                # malformed dicts must not consume the one-shot warning.
-                warn_v1_payload()
-            return self.run(request).to_dict(legacy_stats=legacy)
+            return self.run(QueryRequest.from_dict(payload)).to_dict()
         except Exception as error:  # noqa: BLE001 - envelope boundary
             return error_envelope(error)
 
@@ -388,21 +375,7 @@ class GeoService:
         """
         try:
             requests = [QueryRequest.from_dict(payload) for payload in payloads]
-            # Warn only once every member parsed: a malformed batch must
-            # not consume the one-shot warning (see run_dict).
-            for payload in payloads:
-                if isinstance(payload, Mapping) and "v" not in payload:
-                    warn_v1_payload()
-                    break
-            legacy = [
-                isinstance(payload, Mapping)
-                and ("v" not in payload or payload.get("v") == 1)
-                for payload in payloads
-            ]
-            return [
-                response.to_dict(legacy_stats=flag)
-                for response, flag in zip(self.run_batch(requests), legacy)
-            ]
+            return [response.to_dict() for response in self.run_batch(requests)]
         except Exception as error:  # noqa: BLE001 - envelope boundary
             return [error_envelope(error) for _ in payloads]
 

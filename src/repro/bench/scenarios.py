@@ -920,22 +920,18 @@ def _skewed_only_workload(scale: Scale):
     return _CONTEXT_CACHE[key]
 
 
-def _sharded_layout_block(scale: Scale, layout: str):
-    """A warmed 32-shard curve block or a default prefix block (the
-    pre-curve layout), over the same base data."""
-    key = ("layout-block", scale.config.nyc_size, scale.config.seed, layout)
+def _curve_sharded_block(scale: Scale):
+    """A warmed 32-shard curve block over the NYC base data."""
+    key = ("curve-block", scale.config.nyc_size, scale.config.seed)
     if key not in _CONTEXT_CACHE:
         from repro.engine.shards import ShardedGeoBlock
 
         base = nyc_base(scale.config)
         level = scale.config.nyc_level(scale.config.block_level)
-        if layout == "curve":
-            # Explicit shard count: the cost model sizes to the pool on
-            # this host, which would leave nothing to prune on small CI
-            # runners; routing quality is what this pair measures.
-            block = ShardedGeoBlock.build(base, level, shard_count=32)
-        else:
-            block = ShardedGeoBlock.build(base, level, layout="prefix")
+        # Explicit shard count: the cost model sizes to the pool on this
+        # host, which would leave nothing to prune on small CI runners;
+        # routing quality is what these scenarios measure.
+        block = ShardedGeoBlock.build(base, level, shard_count=32)
         warm_caches(block, _skewed_only_workload(scale))
         _CONTEXT_CACHE[key] = block
     return _CONTEXT_CACHE[key]
@@ -954,15 +950,16 @@ def _bit_identical_results(wants, gots) -> bool:  # noqa: ANN001
 
 
 def _hilbert_batch_build(scale: Scale) -> Prepared:
-    """Curve (Hilbert key-range) sharding vs the legacy prefix layout on
-    the skewed workload, both through ``run_batch``.  Answers are gated
+    """Curve (Hilbert key-range) sharding vs the plain block on the
+    skewed workload, both through ``run_batch``.  Answers are gated
     bit-identical; the speedup is recorded (routing prunes whole shards
-    before they reach the pool, prefix fans out everywhere)."""
+    before they reach the pool)."""
     from time import perf_counter
 
-    curve = _sharded_layout_block(scale, "curve")
-    prefix = _sharded_layout_block(scale, "prefix")
+    curve = _curve_sharded_block(scale)
+    plain = _block(scale, "plain")
     workload = _skewed_only_workload(scale)
+    warm_caches(plain, workload)
 
     def timed(block, rounds: int = 3):  # noqa: ANN001, ANN202
         times = []
@@ -975,13 +972,13 @@ def _hilbert_batch_build(scale: Scale) -> Prepared:
 
     def thunk() -> dict:
         curve_s, curve_results = timed(curve)
-        prefix_s, prefix_results = timed(prefix)
+        plain_s, plain_results = timed(plain)
         shards_total = sum(result.shards_total for result in curve_results)
         shards_pruned = sum(result.shards_pruned for result in curve_results)
         return {
             "curve_s": curve_s,
-            "prefix_s": prefix_s,
-            "identical": _bit_identical_results(prefix_results, curve_results),
+            "plain_s": plain_s,
+            "identical": _bit_identical_results(plain_results, curve_results),
             "pruning_rate": shards_pruned / max(shards_total, 1),
             "total_count": float(sum(result.count for result in curve_results)),
         }
@@ -992,8 +989,8 @@ def _hilbert_batch_build(scale: Scale) -> Prepared:
                 "queries": float(len(workload)),
                 "total_count": last["total_count"],
                 "curve_s": last["curve_s"],
-                "prefix_s": last["prefix_s"],
-                "speedup_vs_prefix": last["prefix_s"] / max(last["curve_s"], 1e-12),
+                "plain_s": last["plain_s"],
+                "speedup_vs_plain": last["plain_s"] / max(last["curve_s"], 1e-12),
                 "pruning_rate": last["pruning_rate"],
                 "identical": 1.0 if last["identical"] else 0.0,
             }
@@ -1011,7 +1008,7 @@ def _sharded_pruning_build(scale: Scale) -> Prepared:
     submitted."""
     from repro.api import Dataset, GeoService, requests_from_workload
 
-    block = _sharded_layout_block(scale, "curve")
+    block = _curve_sharded_block(scale)
     workload = _skewed_only_workload(scale)
     plain = _block(scale, "plain")
     want_results = run_workload(plain, workload)[1]
@@ -1052,9 +1049,9 @@ register(
         name="engine_batch_hilbert",
         group="engine",
         description=(
-            "curve (Hilbert) sharding vs the legacy prefix layout on the "
-            "skewed workload; asserts bit-identical answers and records the "
-            "batch speedup and pruning rate"
+            "curve (Hilbert) sharding vs the plain block on the skewed "
+            "workload; asserts bit-identical answers and records the batch "
+            "speedup and pruning rate"
         ),
         build=_hilbert_batch_build,
         repeats=1,

@@ -11,27 +11,29 @@ the block-kind discriminator (``GeoBlock.kind`` in memory, the ``kind``
 meta field on disk):
 
 * ``geoblock`` -- a plain block (version-1 files load as this kind);
-* ``sharded``  -- a :class:`~repro.engine.shards.ShardedGeoBlock`; the
-  layout rides along -- curve-key split points for the default
-  ``"curve"`` layout, the shard level for the legacy ``"prefix"``
-  layout -- and the partition itself is re-derived from the sorted keys
-  on load (it is pure bookkeeping).  Version-2 sharded files carry only
-  a shard level and load as the prefix layout they were built with;
+* ``sharded``  -- a :class:`~repro.engine.shards.ShardedGeoBlock`; its
+  curve-key split points ride along and the partition itself is
+  re-derived from the sorted keys on load (it is pure bookkeeping).
+  Archives without usable split points -- version-2 files, which carry
+  only a shard level, and version-3 files written with the retired
+  ``"prefix"`` layout -- load as a curve partition with cost-model
+  splits; answers do not depend on the partition;
 * ``adaptive`` -- an :class:`~repro.core.adaptive.AdaptiveGeoBlock`
   including its AggregateTrie (node + record regions, Figure 7), the
   accumulated query statistics, and the cache policy.
 
-The per-kind functions (``save_block``/``save_adaptive_block`` and
-``load_block``/``load_adaptive_block``) predate the unified pair and
-are kept as thin delegating shims; they add nothing but a kind
-assertion.  Prefer :func:`save`/:func:`load` (or the service API's
-``Dataset.save``/``Dataset.open``) in new code.
+Saves are atomic: the archive is written to a temporary file in the
+target's directory, flushed to disk, and renamed over the target, so a
+crash mid-save leaves either the old file or the new one, never a torn
+one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import uuid
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from repro.geometry.bbox import BoundingBox
 from repro.storage.schema import ColumnKind, ColumnSpec, Schema
 
 #: Bumped whenever the on-disk layout changes.  Version 3 added the
-#: sharded-block layout metadata (curve splits vs. legacy prefix).
+#: sharded-block split points.
 FORMAT_VERSION = 3
 
 #: Versions this module can still read.
@@ -72,15 +74,12 @@ def _block_meta(block: GeoBlock, kind: str) -> dict:
         "predicate": repr(block.predicate),
     }
     if block.kind == "sharded":
-        meta["layout"] = block.layout  # type: ignore[attr-defined]
-        if block.layout == "prefix":  # type: ignore[attr-defined]
-            meta["shard_level"] = block.shard_level  # type: ignore[attr-defined]
-        else:
-            # Full split-bounds array (JSON ints are exact well past
-            # 2**60), so the loaded partition is byte-for-byte the one
-            # that was saved, whatever machine opens the file.
-            splits = block.splits  # type: ignore[attr-defined]
-            meta["shard_splits"] = None if splits is None else [int(b) for b in splits]
+        meta["layout"] = "curve"
+        # Full split-bounds array (JSON ints are exact well past 2**60),
+        # so the loaded partition is byte-for-byte the one that was
+        # saved, whatever machine opens the file.
+        splits = block.splits  # type: ignore[attr-defined]
+        meta["shard_splits"] = None if splits is None else [int(b) for b in splits]
     return meta
 
 
@@ -101,9 +100,25 @@ def _block_arrays(block: GeoBlock) -> dict[str, np.ndarray]:
 
 
 def _write(path: str | pathlib.Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    np.savez_compressed(
-        path, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays
-    )
+    """Write the archive atomically: a temporary file in the target's
+    directory, fsync'd, then ``os.replace``-d onto ``path``.  Writing
+    through an open file object also keeps ``np.savez_compressed``
+    from appending ``.npz`` to the temporary name."""
+    path = pathlib.Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as handle:
+            np.savez_compressed(
+                handle,
+                meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+                **arrays,
+            )
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_archive(path: str | pathlib.Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -122,7 +137,7 @@ def read_archive_meta(archive) -> dict:  # noqa: ANN001 - NpzFile
 def save(block: GeoBlock | AdaptiveGeoBlock, path: str | pathlib.Path) -> None:
     """Persist any block to ``path`` (``.npz``), dispatching on kind.
 
-    Plain and sharded blocks record their kind (and shard level);
+    Plain and sharded blocks record their kind (and split points);
     adaptive blocks additionally persist the AggregateTrie, the
     accumulated query statistics, and the cache policy, so a later
     :func:`load` restores the cache exactly.
@@ -182,19 +197,13 @@ def _read_block(archive, meta: dict, kind: str) -> GeoBlock:  # noqa: ANN001
     if kind == "sharded":
         from repro.engine.shards import ShardedGeoBlock
 
-        # Pre-v3 sharded files carry only a shard level: they were
-        # built with the prefix layout and load back as exactly that.
-        layout = meta.get("layout", "prefix")
-        if layout == "prefix":
-            return ShardedGeoBlock(
-                space, int(meta["level"]), aggregates, shard_level=int(meta["shard_level"])
-            )
+        # Archives without split points (v2 files, v3 "prefix" files)
+        # get cost-model splits; the partition never changes answers.
         splits = meta.get("shard_splits")
         return ShardedGeoBlock(
             space,
             int(meta["level"]),
             aggregates,
-            layout="curve",
             splits=None if splits is None else [int(b) for b in splits],
         )
     return GeoBlock(space, int(meta["level"]), aggregates)
@@ -239,48 +248,3 @@ def load(path: str | pathlib.Path) -> GeoBlock | AdaptiveGeoBlock:
         if kind == "adaptive":
             return _read_adaptive(archive, meta)
         return _read_block(archive, meta, kind)
-
-
-# -- per-kind delegating shims (deprecated; prefer save/load) -------------
-
-
-def save_block(block: GeoBlock, path: str | pathlib.Path) -> None:
-    """Persist a plain or sharded block (shim over :func:`save`).
-
-    Passing an adaptive block raises, as the historical contract did:
-    callers of this function expect a cache-free file, and silently
-    including the cache (or dropping it) would surprise either way.
-    """
-    if isinstance(block, AdaptiveGeoBlock):
-        raise BuildError("use save_adaptive_block for AdaptiveGeoBlock instances")
-    save(block, path)
-
-
-def save_adaptive_block(adaptive: AdaptiveGeoBlock, path: str | pathlib.Path) -> None:
-    """Persist an adaptive block (shim over :func:`save`)."""
-    if not isinstance(adaptive, AdaptiveGeoBlock):
-        raise BuildError("save_adaptive_block needs an AdaptiveGeoBlock; use save")
-    save(adaptive, path)
-
-
-def load_block(path: str | pathlib.Path) -> GeoBlock:
-    """Load a plain or sharded block (shim over the :func:`load`
-    internals).  The kind is checked on the metadata alone, so an
-    adaptive file is rejected before its trie/statistics arrays are
-    ever materialised."""
-    with np.load(path) as archive:
-        meta = _read_meta(archive)
-        kind = meta.get("kind", "geoblock")
-        if kind == "adaptive":
-            raise BuildError("use load_adaptive_block for adaptive GeoBlock files")
-        return _read_block(archive, meta, kind)
-
-
-def load_adaptive_block(path: str | pathlib.Path) -> AdaptiveGeoBlock:
-    """Load an adaptive block (shim over the :func:`load` internals;
-    non-adaptive files are rejected on the metadata alone)."""
-    with np.load(path) as archive:
-        meta = _read_meta(archive)
-        if meta.get("kind") != "adaptive":
-            raise BuildError("not an adaptive GeoBlock file; use load_block")
-        return _read_adaptive(archive, meta)

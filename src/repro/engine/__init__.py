@@ -19,8 +19,8 @@ runners -- flows through this package's two-stage pipeline:
    for every path.
 
 :mod:`repro.engine.shards` adds sharded blocks whose batch execution
-fans out across a thread pool and whose updates touch only dirty
-shards; by default shards are equi-depth ranges of the space-filling
+fans out across a thread pool and whose updates adjust only the
+owning shard's bounds; shards are equi-depth ranges of the space-filling
 curve key (:mod:`repro.cells.sfc`), with split points picked by the
 cost model (:mod:`repro.engine.cost`) and per-query shard pruning done
 by the :class:`~repro.engine.router.PartitionRouter`

@@ -110,6 +110,7 @@ class EdgeCache:
         self.invalidated = 0
         self.evictions = 0
         self.revalidations = 0
+        self.revalidate_errors = 0
 
     # -- lookup / store ----------------------------------------------------
 
@@ -176,8 +177,10 @@ class EdgeCache:
         concurrent stale hits of the same key trigger exactly one).
 
         ``recompute`` runs on a daemon thread and is expected to call
-        :meth:`store` (or not, on failure); the in-flight marker clears
-        either way.  Returns whether a thread was actually started.
+        :meth:`store`.  If it raises, the failure is counted as
+        ``revalidate_errors`` and the stale entry keeps serving; the
+        in-flight marker clears either way.  Returns whether a thread
+        was actually started.
         """
         with self._lock:
             if key in self._revalidating:
@@ -188,6 +191,9 @@ class EdgeCache:
         def run() -> None:
             try:
                 recompute()
+            except Exception:  # noqa: BLE001 - counted, never silent
+                with self._lock:
+                    self.revalidate_errors += 1
             finally:
                 with self._lock:
                     self._revalidating.discard(key)
@@ -213,6 +219,7 @@ class EdgeCache:
             self._entries.clear()
             self.hits = self.misses = self.stale_served = 0
             self.invalidated = self.evictions = self.revalidations = 0
+            self.revalidate_errors = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -230,6 +237,7 @@ class EdgeCache:
                 "invalidated": self.invalidated,
                 "evictions": self.evictions,
                 "revalidations": self.revalidations,
+                "revalidate_errors": self.revalidate_errors,
                 "hit_rate": (self.hits + self.stale_served) / lookups if lookups else 0.0,
                 "ttl_s": self.ttl,
                 "stale_ttl_s": self.stale_ttl,

@@ -70,7 +70,7 @@ def build_dataset(base, kind, **kwargs):
     if kind == "adaptive":
         kwargs.setdefault("policy", CachePolicy(threshold=0.5))
     elif kind == "sharded":
-        kwargs.setdefault("shard_level", 11)
+        kwargs.setdefault("shard_count", 8)
     return Dataset.build(base, LEVEL, kind, name="taxi", **kwargs)
 
 
@@ -312,17 +312,14 @@ class TestWirePath:
 
 
 class TestShardedBookkeeping:
-    def test_append_marks_dirty_shards(self):
+    def test_append_keeps_partition_contiguous(self):
         dataset = build_dataset(make_base(), "sharded")
         handle = dataset.handle
         assert isinstance(handle, ShardedGeoBlock)
-        assert handle.dirty_shards() == []
         dataset.append(make_rows(20))
-        assert len(handle.dirty_shards()) >= 1
         # Partition stays contiguous after splices.
         bounds = [(shard.lo, shard.hi) for shard in handle.shards]
         assert bounds[0][0] == 0
         assert bounds[-1][1] == handle.num_cells
         for (_, prev_hi), (next_lo, _) in zip(bounds, bounds[1:]):
             assert next_lo == prev_hi
-        assert handle.sweep_dirty() >= 1

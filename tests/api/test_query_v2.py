@@ -1,4 +1,4 @@
-"""Query v2: grouped requests, filtered views, envelopes, deprecation."""
+"""Query v2: grouped requests, filtered views, envelopes, versioning."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.api.request as request_module
 from repro.api import (
     ApiError,
     Dataset,
@@ -73,7 +72,7 @@ def dataset(request, small_base, small_polygons) -> Dataset:
             built.handle.select(polygon, AGGS)
         built.handle.adapt()
     elif kind == "sharded":
-        built = Dataset.build(small_base, LEVEL, kind, name="small", shard_level=11)
+        built = Dataset.build(small_base, LEVEL, kind, name="small", shard_count=8)
     else:
         built = Dataset.build(small_base, LEVEL, kind, name="small")
     return built
@@ -158,16 +157,16 @@ class TestFeatureParsing:
 
 
 class TestGroupByParity:
-    def test_grouped_bit_identical_to_sequential_v1(self, dataset, small_polygons):
-        """The acceptance gate: one v2 group-by over N features answers
-        bit-identically to N sequential v1 single-region requests, and
+    def test_grouped_bit_identical_to_sequential(self, dataset, small_polygons):
+        """The acceptance gate: one group-by over N features answers
+        bit-identically to N sequential single-region requests, and
         the grouped pass reuses the planner's covering cache across
         features (asserted via QueryStats.covering_cached)."""
         fc = collection(small_polygons)
         grouped_request = QueryRequest(
             group_by=fc, aggregates=AGG_STRINGS, dataset="small"
         )
-        # Sequential v1 requests over the same compiled regions (the
+        # Sequential requests over the same compiled regions (the
         # dashboard's old N-request pattern; same identities warm the
         # planner's covering LRU).
         sequential = [
@@ -250,7 +249,7 @@ class TestFilteredViews:
             LEVEL,
             dataset.kind,
             predicate=col("distance") >= 4,
-            shard_level=11 if dataset.kind == "sharded" else None,
+            shard_count=8 if dataset.kind == "sharded" else None,
         )
         for polygon in small_polygons[:4]:
             got = dataset.query(
@@ -276,7 +275,7 @@ class TestFilteredViews:
         assert view.level == dataset.level
         assert view.is_view and not dataset.is_view
         if dataset.kind == "sharded":
-            assert view.handle.shard_level == dataset.handle.shard_level
+            assert np.array_equal(view.handle.splits, dataset.handle.splits)
 
     def test_view_of_view_composes_conjunctively(self, dataset):
         view = dataset.view(self.WHERE)
@@ -399,14 +398,11 @@ class TestEnvelopes:
         assert excinfo.value.code == BAD_REQUEST
         assert "v2" in excinfo.value.message
 
-    def test_v1_envelope_cannot_carry_v2_keys(self, small_polygons):
-        payload = {
-            "v": 1,
-            "region": region_to_geojson(small_polygons[0]),
-            "group_by": collection(small_polygons[:2]),
-        }
-        with pytest.raises(ApiError):
+    def test_v1_envelope_rejected(self, small_polygons):
+        payload = {"v": 1, "region": region_to_geojson(small_polygons[0])}
+        with pytest.raises(ApiError) as excinfo:
             QueryRequest.from_dict(payload)
+        assert excinfo.value.code == BAD_REQUEST
 
     def test_grouped_response_round_trip(self, dataset, small_polygons):
         response = dataset.query(
@@ -419,71 +415,49 @@ class TestEnvelopes:
         assert wire["v"] == 2
 
 
-class TestDeprecation:
-    @pytest.fixture(autouse=True)
-    def reset_warning_flag(self):
-        request_module._v1_warned = False
-        # The flat legacy-stats mirror has its own one-shot warning
-        # (tested in test_result_cache); keep it quiet here so these
-        # tests isolate the versionless-payload warning.
-        legacy = request_module._legacy_stats_warned
-        request_module._legacy_stats_warned = True
-        yield
-        request_module._v1_warned = False
-        request_module._legacy_stats_warned = legacy
+class TestEnvelopeVersion:
+    """Every wire dict must say ``"v": 2``; the versionless v1 envelope
+    is gone and answers a typed ``bad_request``."""
 
-    def test_v1_run_dict_warns_once_and_answers_identically(self, small_block, quad_polygon):
+    @pytest.fixture()
+    def service(self, small_block) -> GeoService:
         service = GeoService()
         service.register("only", Dataset(small_block))
-        v1 = {"region": region_to_geojson(quad_polygon), "aggregates": ["count", "sum:fare"]}
-        v2 = dict(v1, v=2)
-        with pytest.warns(DeprecationWarning, match="versionless"):
-            first = service.run_dict(v1)
-        # Once per process: the second v1 payload stays silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            second = service.run_dict(v1)
-            modern = service.run_dict(v2)
-        assert first["data"] == second["data"] == modern["data"]
+        return service
 
-    def test_v2_payload_never_warns(self, small_block, quad_polygon):
-        service = GeoService()
-        service.register("only", Dataset(small_block))
+    @staticmethod
+    def assert_needs_v2(envelope: dict) -> None:
+        assert envelope["ok"] is False
+        assert envelope["error"]["code"] == BAD_REQUEST
+        assert '"v": 2' in envelope["error"]["message"]
+
+    def test_versionless_run_dict_is_bad_request(self, service, quad_polygon):
+        self.assert_needs_v2(service.run_dict({"region": region_to_geojson(quad_polygon)}))
+
+    def test_versionless_batch_fails_every_member(self, service, quad_polygon):
+        region = region_to_geojson(quad_polygon)
+        envelopes = service.run_batch_dict([{"v": 2, "region": region}, {"region": region}])
+        assert len(envelopes) == 2
+        for envelope in envelopes:
+            self.assert_needs_v2(envelope)
+
+    @pytest.mark.parametrize("version", [1, 3, "2", None])
+    def test_other_versions_are_bad_request(self, service, quad_polygon, version):
+        envelope = service.run_dict({"v": version, "region": region_to_geojson(quad_polygon)})
+        self.assert_needs_v2(envelope)
+
+    def test_versionless_query_dict_raises(self, small_block, quad_polygon):
+        with pytest.raises(ApiError) as caught:
+            Dataset(small_block).query_dict({"region": region_to_geojson(quad_polygon)})
+        assert caught.value.code == BAD_REQUEST
+
+    def test_versionless_append_is_bad_request(self, service):
+        self.assert_needs_v2(service.run_dict({"op": "append", "rows": [{"x": 0.0, "y": 0.0}]}))
+
+    def test_v2_payload_never_warns(self, service, quad_polygon):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            envelope = service.run_dict(
-                {"v": 2, "region": region_to_geojson(quad_polygon)}
-            )
+            envelope = service.run_dict({"v": 2, "region": region_to_geojson(quad_polygon)})
         assert envelope["ok"] is True
-
-    def test_malformed_versionless_payload_does_not_consume_the_warning(
-        self, small_block, quad_polygon
-    ):
-        """Only a payload that actually parses as a v1 query is a
-        deprecated v1 query; garbage must not spend the one-shot
-        warning (code-review regression)."""
-        service = GeoService()
-        service.register("only", Dataset(small_block))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            bad_single = service.run_dict({"regio": "typo"})
-            bad_batch = service.run_batch_dict([{"regio": "typo"}])
-        assert bad_single["ok"] is False
-        assert bad_batch[0]["ok"] is False
-        with pytest.warns(DeprecationWarning):
-            service.run_dict({"region": region_to_geojson(quad_polygon)})
-
-    def test_versionless_append_does_not_consume_the_warning(self, small_block, quad_polygon):
-        """Appends have no v1 form -- a versionless append is a plain
-        client error and must leave the once-per-process deprecation
-        warning for an actual v1 query (code-review regression)."""
-        service = GeoService()
-        service.register("only", Dataset(small_block))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rejected = service.run_dict(
-                {"op": "append", "rows": [{"x": 0.0, "y": 0.0}]}
-            )
-        assert rejected["ok"] is False
-        with pytest.warns(DeprecationWarning):
-            service.run_dict({"region": region_to_geojson(quad_polygon)})
+        assert "cache_hits" not in envelope["stats"]
+        assert "covering_cached" not in envelope["stats"]

@@ -98,26 +98,26 @@ class TestRequestRoundTrip:
 class TestStrictParsing:
     def test_missing_region(self):
         with pytest.raises(ApiError) as excinfo:
-            QueryRequest.from_dict({"aggregates": ["count"]})
+            QueryRequest.from_dict({"v": 2, "aggregates": ["count"]})
         assert excinfo.value.code == BAD_REQUEST
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ApiError) as excinfo:
-            QueryRequest.from_dict({"region": {"bbox": [0, 0, 1, 1]}, "aggrgates": ["count"]})
+            QueryRequest.from_dict({"v": 2, "region": {"bbox": [0, 0, 1, 1]}, "aggrgates": ["count"]})
         assert excinfo.value.code == BAD_REQUEST
         assert excinfo.value.details["unknown"] == ["aggrgates"]
 
     def test_unknown_hint(self):
         with pytest.raises(ApiError) as excinfo:
             QueryRequest.from_dict(
-                {"region": {"bbox": [0, 0, 1, 1]}, "hints": {"mod": "scalar"}}
+                {"v": 2, "region": {"bbox": [0, 0, 1, 1]}, "hints": {"mod": "scalar"}}
             )
         assert excinfo.value.code == BAD_HINT
 
     def test_bad_mode(self):
         with pytest.raises(ApiError) as excinfo:
             QueryRequest.from_dict(
-                {"region": {"bbox": [0, 0, 1, 1]}, "hints": {"mode": "turbo"}}
+                {"v": 2, "region": {"bbox": [0, 0, 1, 1]}, "hints": {"mode": "turbo"}}
             )
         assert excinfo.value.code == BAD_HINT
 

@@ -63,7 +63,7 @@ def build_dataset(base, kind, **kwargs):
     if kind == "adaptive":
         kwargs.setdefault("policy", CachePolicy(threshold=0.5))
     elif kind == "sharded":
-        kwargs.setdefault("shard_level", 11)
+        kwargs.setdefault("shard_count", 8)
     return Dataset.build(base, LEVEL, kind, name="taxi", **kwargs)
 
 
@@ -354,27 +354,9 @@ class TestTelemetry:
         cache_block = envelope["stats"]["cache"]
         assert set(cache_block) == {"covering_cached", "result_cached", "trie_hits"}
         assert envelope["stats"]["mv"] == {"cached": 0}
-        # v2 responses dropped the flat legacy mirror keys in favour of
-        # the structured blocks; only v1 up-converts still emit them.
+        # The structured blocks are the only home of these counters.
         assert "covering_cached" not in envelope["stats"]
         assert "cache_hits" not in envelope["stats"]
-
-    def test_v1_response_keeps_flat_legacy_stats(self, quad_polygon, monkeypatch):
-        from repro.api import request as request_module
-
-        # Both mirrors warn once per process; reset so this test owns them.
-        monkeypatch.setattr(request_module, "_v1_warned", False)
-        monkeypatch.setattr(request_module, "_legacy_stats_warned", False)
-        service = GeoService(cache=TieredCache())
-        service.register("taxi", build_dataset(make_base(), "geoblock"))
-        payload = wire_payload(quad_polygon)
-        del payload["v"]
-        with pytest.warns(DeprecationWarning):
-            envelope = service.run_dict(payload)
-        assert envelope["ok"]
-        cache_block = envelope["stats"]["cache"]
-        assert envelope["stats"]["covering_cached"] == cache_block["covering_cached"]
-        assert envelope["stats"]["cache_hits"] == cache_block["trie_hits"]
 
     def test_stats_follow_privately_bound_datasets(self, quad_polygon):
         """A dataset bound to its own cache at build time keeps it when

@@ -46,7 +46,7 @@ def handle(kind, small_base, small_polygons):
     if kind == "geoblock":
         return GeoBlock.build(small_base, LEVEL)
     if kind == "sharded":
-        return ShardedGeoBlock.build(small_base, LEVEL, shard_level=11)
+        return ShardedGeoBlock.build(small_base, LEVEL, shard_count=8)
     adaptive = AdaptiveGeoBlock(GeoBlock.build(small_base, LEVEL), CachePolicy(threshold=0.5))
     for polygon in small_polygons:
         adaptive.select(polygon, AGGS)
@@ -62,14 +62,12 @@ def service(handle) -> GeoService:
 
 
 class TestSingleQueryParity:
-    # Deliberately exercises the versionless v1 path (flat legacy stats
-    # keys included), so both one-shot deprecation warnings fire here.
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_json_dict_select_matches_direct(self, service, handle, small_polygons):
         for polygon in small_polygons:
             want = handle.select(polygon, AGGS)
             envelope = service.run_dict(
                 {
+                    "v": 2,
                     "dataset": "small",
                     "region": region_to_geojson(polygon),
                     "aggregates": AGG_STRINGS,
@@ -79,13 +77,14 @@ class TestSingleQueryParity:
             assert envelope["data"]["count"] == want.count
             assert_values_equal(envelope["data"]["values"], want.values)
             assert envelope["stats"]["cells_probed"] == want.cells_probed
-            assert envelope["stats"]["cache_hits"] == want.cache_hits
+            assert envelope["stats"]["cache"]["trie_hits"] == want.cache_hits
             assert envelope["stats"]["latency_ms"] >= 0.0
 
     def test_json_dict_count_matches_direct(self, service, handle, small_polygons):
         for polygon in small_polygons:
             envelope = service.run_dict(
                 {
+                    "v": 2,
                     "dataset": "small",
                     "region": region_to_geojson(polygon),
                     "hints": {"count_only": True},
@@ -107,6 +106,7 @@ class TestSingleQueryParity:
         want = handle.select(quad_polygon, AGGS)  # vector default
         envelope = service.run_dict(
             {
+                "v": 2,
                 "dataset": "small",
                 "region": region_to_geojson(quad_polygon),
                 "aggregates": AGG_STRINGS,
@@ -143,7 +143,7 @@ class TestBatchedParity:
 
     def test_run_batch_dict_wire_path(self, service, handle, small_polygons):
         payloads = [
-            {"dataset": "small", "region": region_to_geojson(polygon), "aggregates": ["count"]}
+            {"v": 2, "dataset": "small", "region": region_to_geojson(polygon), "aggregates": ["count"]}
             for polygon in small_polygons
         ]
         envelopes = service.run_batch_dict(payloads)
@@ -201,6 +201,7 @@ class TestHints:
         polygon = small_polygons[0]
         envelope = service.run_dict(
             {
+                "v": 2,
                 "dataset": "small",
                 "region": region_to_geojson(polygon),
                 "aggregates": AGG_STRINGS,
@@ -208,14 +209,14 @@ class TestHints:
             }
         )
         want = handle.block.select(polygon, AGGS) if isinstance(handle, AdaptiveGeoBlock) else handle.select(polygon, AGGS)
-        assert envelope["stats"]["cache_hits"] == 0
+        assert envelope["stats"]["cache"]["trie_hits"] == 0
         assert envelope["data"]["count"] == want.count
         assert_values_equal(envelope["data"]["values"], want.values)
 
 
 class TestErrors:
     def test_unknown_dataset_envelope(self, service):
-        envelope = service.run_dict({"dataset": "nope", "region": {"bbox": [0, 0, 1, 1]}})
+        envelope = service.run_dict({"v": 2, "dataset": "nope", "region": {"bbox": [0, 0, 1, 1]}})
         assert envelope["ok"] is False
         assert envelope["error"]["code"] == UNKNOWN_DATASET
         assert "registered" in envelope["error"]["details"]
@@ -223,6 +224,7 @@ class TestErrors:
     def test_unknown_column_envelope(self, service):
         envelope = service.run_dict(
             {
+                "v": 2,
                 "dataset": "small",
                 "region": {"bbox": [-74.2, 40.5, -73.7, 40.95]},
                 "aggregates": ["sum:surge_fee"],
@@ -232,14 +234,14 @@ class TestErrors:
         assert envelope["error"]["code"] == UNKNOWN_COLUMN
 
     def test_malformed_region_envelope(self, service):
-        envelope = service.run_dict({"dataset": "small", "region": {"type": "Blob"}})
+        envelope = service.run_dict({"v": 2, "dataset": "small", "region": {"type": "Blob"}})
         assert envelope["ok"] is False
         assert envelope["error"]["code"] == "bad_region"
 
     def test_batch_dict_fails_whole_batch(self, service):
         payloads = [
-            {"dataset": "small", "region": {"bbox": [0, 0, 1, 1]}},
-            {"dataset": "small", "region": {"type": "Blob"}},
+            {"v": 2, "dataset": "small", "region": {"bbox": [0, 0, 1, 1]}},
+            {"v": 2, "dataset": "small", "region": {"type": "Blob"}},
         ]
         envelopes = service.run_batch_dict(payloads)
         assert len(envelopes) == 2
@@ -280,14 +282,14 @@ class TestErrors:
 
     def test_run_raises_outside_envelope_entry_points(self, service):
         with pytest.raises(ApiError):
-            service.run({"dataset": "nope", "region": {"bbox": [0, 0, 1, 1]}})
+            service.run({"v": 2, "dataset": "nope", "region": {"bbox": [0, 0, 1, 1]}})
 
 
 class TestRegistry:
     def test_default_dataset_resolution(self, handle):
         service = GeoService()
         service.register("only", Dataset(handle))
-        response = service.run({"region": {"bbox": [-74.2, 40.5, -73.7, 40.95]}})
+        response = service.run({"v": 2, "region": {"bbox": [-74.2, 40.5, -73.7, 40.95]}})
         assert response.dataset == "only"
 
     def test_default_requires_single_dataset(self, handle):
@@ -295,7 +297,7 @@ class TestRegistry:
         service.register("a", Dataset(handle))
         service.register("b", Dataset(handle))
         with pytest.raises(ApiError) as excinfo:
-            service.run({"region": {"bbox": [0, 0, 1, 1]}})
+            service.run({"v": 2, "region": {"bbox": [0, 0, 1, 1]}})
         assert excinfo.value.code == UNKNOWN_DATASET
 
     def test_register_bare_block_wraps(self, handle):

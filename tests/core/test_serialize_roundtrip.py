@@ -1,22 +1,13 @@
-"""Serialize round-trips for adaptive and sharded blocks (format v2)."""
+"""Serialize round-trips for adaptive and sharded blocks, older sharded
+archives, and atomic saves."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    AdaptiveGeoBlock,
-    AggSpec,
-    CachePolicy,
-    GeoBlock,
-    load_adaptive_block,
-    load_block,
-    save_adaptive_block,
-    save_block,
-)
+from repro.core import AdaptiveGeoBlock, AggSpec, CachePolicy, GeoBlock, load, save, serialize
 from repro.engine.shards import ShardedGeoBlock
-from repro.errors import BuildError
 
 AGGS = [
     AggSpec("count"),
@@ -42,25 +33,32 @@ def assert_same_answers(want_block, got_block, polygons):  # noqa: ANN001
                 assert got.values[key] == value
 
 
+def assert_bit_identical(wants, gots):  # noqa: ANN001
+    assert len(gots) == len(wants)
+    for want, got in zip(wants, gots):
+        assert got.count == want.count
+        for key, value in want.values.items():
+            assert np.float64(got.values[key]).tobytes() == np.float64(value).tobytes(), key
+
+
 class TestShardedRoundTrip:
     def test_sharded_block_survives_save_load(self, small_base, small_polygons, tmp_path):
-        block = ShardedGeoBlock.build(small_base, LEVEL, shard_level=11)
+        block = ShardedGeoBlock.build(small_base, LEVEL, shard_count=8)
         path = tmp_path / "sharded.npz"
-        save_block(block, path)
-        loaded = load_block(path)
+        save(block, path)
+        loaded = load(path)
         assert isinstance(loaded, ShardedGeoBlock)
-        assert loaded.shard_level == block.shard_level
         assert loaded.num_shards == block.num_shards
-        assert [(s.prefix, s.lo, s.hi) for s in loaded.shards] == [
-            (s.prefix, s.lo, s.hi) for s in block.shards
+        assert [(s.lo, s.hi, s.key_lo, s.key_hi) for s in loaded.shards] == [
+            (s.lo, s.hi, s.key_lo, s.key_hi) for s in block.shards
         ]
         assert_same_answers(block, loaded, small_polygons)
 
     def test_sharded_batch_after_load(self, small_base, small_polygons, tmp_path):
         block = ShardedGeoBlock.build(small_base, LEVEL)
         path = tmp_path / "sharded.npz"
-        save_block(block, path)
-        loaded = load_block(path)
+        save(block, path)
+        loaded = load(path)
         for want, got in zip(
             block.run_batch(small_polygons, aggs=AGGS),
             loaded.run_batch(small_polygons, aggs=AGGS),
@@ -70,43 +68,79 @@ class TestShardedRoundTrip:
     def test_curve_layout_round_trips_splits(self, small_base, small_polygons, tmp_path):
         block = ShardedGeoBlock.build(small_base, LEVEL, shard_count=8)
         path = tmp_path / "curve.npz"
-        save_block(block, path)
-        loaded = load_block(path)
+        save(block, path)
+        with np.load(path) as archive:
+            assert serialize.read_archive_meta(archive)["layout"] == "curve"
+        loaded = load(path)
         assert isinstance(loaded, ShardedGeoBlock)
-        assert loaded.layout == "curve"
-        assert loaded.shard_level is None
         assert np.array_equal(np.array(loaded.splits), np.array(block.splits))
         assert [(s.lo, s.hi, s.key_lo, s.key_hi) for s in loaded.shards] == [
             (s.lo, s.hi, s.key_lo, s.key_hi) for s in block.shards
         ]
         assert_same_answers(block, loaded, small_polygons)
 
-    def test_v2_sharded_file_loads_as_prefix(self, small_base, small_polygons, tmp_path):
-        """Pre-v3 sharded files carry only a shard level and no layout
-        field; they must load back as the prefix layout they were built
-        with."""
-        from repro.core import serialize
 
-        block = ShardedGeoBlock.build(small_base, LEVEL, shard_level=11)
-        path = tmp_path / "v3.npz"
-        save_block(block, path)
-        with np.load(path) as archive:
+
+class TestOlderShardedArchives:
+    """Sharded archives without usable split points -- format v2 (a
+    shard level only) and v3 files written with the retired "prefix"
+    layout -- load as curve partitions that answer like the plain
+    block, bit for bit."""
+
+    @staticmethod
+    def _rewrite(small_base, tmp_path, name: str, edit) -> ShardedGeoBlock:  # noqa: ANN001
+        block = ShardedGeoBlock.build(small_base, LEVEL, shard_count=8)
+        save(block, tmp_path / "current.npz")
+        with np.load(tmp_path / "current.npz") as archive:
             meta = serialize.read_archive_meta(archive)
-            arrays = {name: archive[name] for name in archive.files if name != "meta"}
-        # Rewrite the metadata exactly as version 2 wrote it.
+            arrays = {key: archive[key] for key in archive.files if key != "meta"}
+        del meta["shard_splits"]
+        edit(meta)
+        path = tmp_path / name
+        serialize.write_archive(path, meta, arrays)
+        loaded = load(path)
+        assert isinstance(loaded, ShardedGeoBlock)
+        return loaded
+
+    @staticmethod
+    def _as_v2(meta: dict) -> None:
         meta["version"] = 2
         del meta["layout"]
-        assert "shard_level" in meta
-        old_path = tmp_path / "v2.npz"
-        serialize.write_archive(old_path, meta, arrays)
-        loaded = load_block(old_path)
-        assert isinstance(loaded, ShardedGeoBlock)
-        assert loaded.layout == "prefix"
-        assert loaded.shard_level == 11
-        assert [(s.prefix, s.lo, s.hi) for s in loaded.shards] == [
-            (s.prefix, s.lo, s.hi) for s in block.shards
-        ]
-        assert_same_answers(block, loaded, small_polygons)
+        meta["shard_level"] = 11
+
+    @staticmethod
+    def _as_v3_prefix(meta: dict) -> None:
+        meta["layout"] = "prefix"
+        meta["shard_level"] = 11
+
+    @pytest.fixture(params=["v2", "v3-prefix"])
+    def legacy(self, request, small_base, tmp_path) -> ShardedGeoBlock:
+        edit = self._as_v2 if request.param == "v2" else self._as_v3_prefix
+        return self._rewrite(small_base, tmp_path, f"{request.param}.npz", edit)
+
+    def test_loads_as_curve_partition(self, legacy):
+        from repro.cells import sfc
+
+        assert legacy.splits is not None
+        assert legacy.num_shards >= 1
+        assert legacy.shards[0].key_lo == 0
+        assert legacy.shards[-1].key_hi == sfc.KEY_SPACE
+        assert legacy.shards[0].lo == 0
+        assert legacy.shards[-1].hi == legacy.num_cells
+
+    def test_answers_bit_identical_to_plain(self, legacy, small_base, small_polygons):
+        plain = GeoBlock.build(small_base, LEVEL)
+        polygons = list(small_polygons) * 4  # force the fan-out path
+        assert_bit_identical(
+            [plain.select(polygon, AGGS) for polygon in small_polygons],
+            [legacy.select(polygon, AGGS) for polygon in small_polygons],
+        )
+        assert_bit_identical(
+            plain.run_batch(polygons, aggs=AGGS), legacy.run_batch(polygons, aggs=AGGS)
+        )
+        want_rows, want_total = plain.run_grouped(small_polygons, aggs=AGGS)
+        got_rows, got_total = legacy.run_grouped(small_polygons, aggs=AGGS)
+        assert_bit_identical([*want_rows, want_total], [*got_rows, got_total])
 
 
 class TestAdaptiveRoundTrip:
@@ -123,8 +157,8 @@ class TestAdaptiveRoundTrip:
 
     def test_trie_and_statistics_survive(self, warmed, small_polygons, tmp_path):
         path = tmp_path / "adaptive.npz"
-        save_adaptive_block(warmed, path)
-        loaded = load_adaptive_block(path)
+        save(warmed, path)
+        loaded = load(path)
         # Policy round-trips.
         assert loaded.policy.threshold == warmed.policy.threshold
         assert loaded.policy.rebuild_every == warmed.policy.rebuild_every
@@ -145,8 +179,8 @@ class TestAdaptiveRoundTrip:
         self, warmed, small_polygons, tmp_path
     ):
         path = tmp_path / "adaptive.npz"
-        save_adaptive_block(warmed, path)
-        loaded = load_adaptive_block(path)
+        save(warmed, path)
+        loaded = load(path)
         assert_same_answers(warmed, loaded, small_polygons)
         # The loaded cache actually answers queries.
         hit_totals = sum(
@@ -158,8 +192,8 @@ class TestAdaptiveRoundTrip:
         self, warmed, small_polygons, tmp_path
     ):
         path = tmp_path / "adaptive.npz"
-        save_adaptive_block(warmed, path)
-        loaded = load_adaptive_block(path)
+        save(warmed, path)
+        loaded = load(path)
         trie = loaded.adapt()  # rebuild purely from persisted statistics
         assert trie.num_cached == warmed.trie.num_cached
 
@@ -169,8 +203,8 @@ class TestAdaptiveRoundTrip:
         for polygon in small_polygons[:4]:
             adaptive.select(polygon, AGGS)
         path = tmp_path / "cold.npz"
-        save_adaptive_block(adaptive, path)
-        loaded = load_adaptive_block(path)
+        save(adaptive, path)
+        loaded = load(path)
         assert loaded.trie is None
         assert loaded.statistics.queries_recorded == 4
         assert_same_answers(adaptive, loaded, small_polygons)
@@ -188,8 +222,8 @@ class TestAdaptiveRoundTrip:
         y = (box.min_y + box.max_y) / 2
         apply_update_adaptive(warmed, x, y, {"fare": 1000.0, "distance": 1.0})
         path = tmp_path / "updated.npz"
-        save_adaptive_block(warmed, path)
-        loaded = load_adaptive_block(path)
+        save(warmed, path)
+        loaded = load(path)
         assert_same_answers(warmed, loaded, small_polygons)
 
     def test_sharded_base_block_round_trips(self, small_base, small_polygons, tmp_path):
@@ -200,38 +234,18 @@ class TestAdaptiveRoundTrip:
             adaptive.select(polygon, AGGS)
         adaptive.adapt()
         path = tmp_path / "adaptive-sharded.npz"
-        save_adaptive_block(adaptive, path)
-        loaded = load_adaptive_block(path)
+        save(adaptive, path)
+        loaded = load(path)
         assert isinstance(loaded.block, ShardedGeoBlock)
         assert_same_answers(adaptive, loaded, small_polygons)
 
 
-class TestKindGuards:
-    def test_save_block_rejects_adaptive(self, small_base, tmp_path):
-        adaptive = AdaptiveGeoBlock(GeoBlock.build(small_base, LEVEL))
-        with pytest.raises(BuildError):
-            save_block(adaptive, tmp_path / "x.npz")
-
-    def test_load_block_rejects_adaptive_files(self, small_base, tmp_path):
-        adaptive = AdaptiveGeoBlock(GeoBlock.build(small_base, LEVEL))
-        path = tmp_path / "adaptive.npz"
-        save_adaptive_block(adaptive, path)
-        with pytest.raises(BuildError):
-            load_block(path)
-
-    def test_load_adaptive_rejects_plain_files(self, small_base, tmp_path):
-        path = tmp_path / "plain.npz"
-        save_block(GeoBlock.build(small_base, LEVEL), path)
-        with pytest.raises(BuildError):
-            load_adaptive_block(path)
-
-
 class TestUnifiedSaveLoad:
-    """The kind-dispatching save()/load() pair and its delegating shims."""
+    """The kind-dispatching save()/load() pair."""
 
     def _handles(self, small_base, small_polygons):
         plain = GeoBlock.build(small_base, LEVEL)
-        sharded = ShardedGeoBlock.build(small_base, LEVEL, shard_level=11)
+        sharded = ShardedGeoBlock.build(small_base, LEVEL, shard_count=8)
         adaptive = AdaptiveGeoBlock(
             GeoBlock.build(small_base, LEVEL), CachePolicy(threshold=0.5)
         )
@@ -241,8 +255,6 @@ class TestUnifiedSaveLoad:
         return {"geoblock": plain, "sharded": sharded, "adaptive": adaptive}
 
     def test_load_restores_each_kind(self, small_base, small_polygons, tmp_path):
-        from repro.core import load, save
-
         for kind, block in self._handles(small_base, small_polygons).items():
             path = tmp_path / f"{kind}.npz"
             save(block, path)
@@ -254,38 +266,30 @@ class TestUnifiedSaveLoad:
         assert GeoBlock.build(small_base, LEVEL).kind == "geoblock"
         assert ShardedGeoBlock.build(small_base, LEVEL).kind == "sharded"
 
-    def test_shims_delegate_bit_identically(self, small_base, small_polygons, tmp_path):
-        """save_block/save_adaptive_block write byte-for-byte what the
-        unified save() writes; load_block/load_adaptive_block return
-        blocks with identical aggregate arrays."""
-        import numpy as np
 
-        from repro.core import load, save
+class TestAtomicSave:
+    def test_writes_exactly_the_named_path(self, small_base, tmp_path):
+        """No ``.npz`` is appended to a bare name, and no temporary file
+        is left behind."""
+        block = GeoBlock.build(small_base, LEVEL)
+        path = tmp_path / "block"
+        save(block, path)
+        assert [entry.name for entry in tmp_path.iterdir()] == ["block"]
+        assert load(path).num_cells == block.num_cells
 
-        block = ShardedGeoBlock.build(small_base, LEVEL, shard_level=11)
-        adaptive = AdaptiveGeoBlock(
-            GeoBlock.build(small_base, LEVEL), CachePolicy(threshold=0.5)
-        )
-        for polygon in small_polygons:
-            adaptive.select(polygon, AGGS)
-        adaptive.adapt()
-        for handle, legacy_save, legacy_load in (
-            (block, save_block, load_block),
-            (adaptive, save_adaptive_block, load_adaptive_block),
-        ):
-            new_path = tmp_path / "new.npz"
-            old_path = tmp_path / "old.npz"
-            save(handle, new_path)
-            legacy_save(handle, old_path)
-            with np.load(new_path) as new_archive, np.load(old_path) as old_archive:
-                assert sorted(new_archive.files) == sorted(old_archive.files)
-                for name in new_archive.files:
-                    assert np.array_equal(new_archive[name], old_archive[name]), name
-            via_new = load(old_path)
-            via_old = legacy_load(new_path)
-            assert type(via_new) is type(via_old)
-            assert_same_answers(via_new, via_old, small_polygons)
+    def test_failed_save_keeps_the_old_file(self, small_base, small_polygons, tmp_path, monkeypatch):
+        old = GeoBlock.build(small_base, LEVEL)
+        path = tmp_path / "block.npz"
+        save(old, path)
+        before = path.read_bytes()
 
-    def test_save_adaptive_shim_rejects_plain_blocks(self, small_base, tmp_path):
-        with pytest.raises(BuildError):
-            save_adaptive_block(GeoBlock.build(small_base, LEVEL), tmp_path / "x.npz")
+        def torn(handle, *args, **kwargs):  # noqa: ANN001, ANN002, ANN003
+            handle.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(serialize.np, "savez_compressed", torn)
+        with pytest.raises(OSError, match="disk full"):
+            save(GeoBlock.build(small_base, LEVEL - 2), path)
+        assert path.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["block.npz"]
+        assert_same_answers(old, load(path), small_polygons)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cells import EARTH, cellid, cellops, sfc
+from repro.cells import EARTH, cellid, sfc
 from repro.cells.union import CellUnion
 from repro.core.updates import apply_update
 from repro.engine.shards import ShardedGeoBlock
@@ -19,8 +19,8 @@ def curve_block(small_base) -> ShardedGeoBlock:
 
 
 @pytest.fixture(scope="module")
-def prefix_block(small_base) -> ShardedGeoBlock:
-    return ShardedGeoBlock.build(small_base, LEVEL, shard_level=11)
+def fine_block(small_base) -> ShardedGeoBlock:
+    return ShardedGeoBlock.build(small_base, LEVEL, shard_count=32)
 
 
 def brute_force_candidates(block, ids) -> set[int]:
@@ -41,21 +41,6 @@ class TestRouting:
         assert decision.total == curve_block.num_shards
         assert decision.pruned == curve_block.num_shards
 
-    def test_covering_missing_every_shard(self, prefix_block):
-        """Prefix layouts leave key-space gaps between occupied prefixes;
-        a covering that lands entirely in a gap routes to zero shards."""
-        shards = prefix_block.shards
-        gap_pos = None
-        for prev, nxt in zip(shards, shards[1:]):
-            if nxt.key_lo > prev.key_hi:
-                gap_pos = prev.key_hi  # first leaf key of the gap
-                break
-        assert gap_pos is not None, "clustered data should leave prefix gaps"
-        leaf = cellops.leaf_ids_from_pos(np.array([gap_pos], dtype=np.int64))
-        decision = prefix_block.router.route(CellUnion(leaf))
-        assert decision.candidates.size == 0
-        assert decision.pruned == decision.total == prefix_block.num_shards
-
     def test_candidates_cover_every_matching_row(self, curve_block):
         """Conservativeness: any shard owning a covered cell's row must
         be a candidate."""
@@ -73,9 +58,9 @@ class TestRouting:
             )
             assert owner in candidates
 
-    @pytest.mark.parametrize("layout", ["curve", "prefix"])
-    def test_matches_brute_force(self, layout, curve_block, prefix_block):
-        block = curve_block if layout == "curve" else prefix_block
+    @pytest.mark.parametrize("shards", [8, 32])
+    def test_matches_brute_force(self, shards, curve_block, fine_block):
+        block = curve_block if shards == 8 else fine_block
         keys = block.aggregates.keys
         rng = np.random.default_rng(31)
         sample = rng.choice(keys, size=30, replace=False)

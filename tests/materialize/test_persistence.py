@@ -34,7 +34,7 @@ def build_dataset(kind="geoblock", seed=55, **kwargs):
     if kind == "adaptive":
         kwargs.setdefault("policy", CachePolicy(threshold=0.5))
     elif kind == "sharded":
-        kwargs.setdefault("shard_level", 11)
+        kwargs.setdefault("shard_count", 8)
     kwargs.setdefault("cache", TieredCache())
     return Dataset.build(make_base(seed=seed), LEVEL, kind, name="taxi", **kwargs)
 
@@ -148,3 +148,85 @@ class TestSidecarGuards:
         dataset.save(path)
         assert not sidecar_path(path).exists()
         assert len(Dataset.open(path).materialized) == 0
+
+
+def make_rows(count=40, seed=3):
+    rng = np.random.default_rng(seed)
+    return [
+        {"x": float(x), "y": float(y), "fare": float(fare), "distance": float(distance)}
+        for x, y, fare, distance in zip(
+            rng.normal(-73.93, 0.05, count),
+            rng.normal(40.74, 0.05, count),
+            rng.gamma(3.0, 4.0, count),
+            rng.gamma(2.0, 2.0, count),
+        )
+    ]
+
+
+class TestCrashMidSave:
+    """Saves are atomic: a write that dies partway leaves the previous
+    block and sidecar on disk, never a torn archive."""
+
+    @staticmethod
+    def fail_on_write(monkeypatch, call: int) -> None:
+        """Make the ``call``-th archive write (1 = block, 2 = sidecar)
+        emit half an archive and then raise."""
+        from repro.core import serialize
+
+        real = serialize.np.savez_compressed
+        calls = []
+
+        def torn(handle, *args, **kwargs):  # noqa: ANN001, ANN002, ANN003
+            calls.append(handle)
+            if len(calls) != call:
+                return real(handle, *args, **kwargs)
+            handle.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(serialize.np, "savez_compressed", torn)
+
+    def test_failed_block_write_keeps_old_block_and_views(self, kind, tmp_path, monkeypatch):
+        dataset = build_dataset(kind)
+        dataset.materialize(request(), name="hot")
+        want = dataset.query(request())
+        old_keys = dataset.block.aggregates.keys.copy()
+        old_counts = dataset.block.aggregates.counts.copy()
+        path = tmp_path / "taxi.npz"
+        dataset.save(path)
+
+        dataset.append(make_rows())
+        dataset.materialize(request(count_only=True, aggregates=()), name="hot-count")
+        self.fail_on_write(monkeypatch, call=1)
+        with pytest.raises(OSError, match="disk full"):
+            dataset.save(path)
+        monkeypatch.undo()
+
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["taxi.mv.npz", "taxi.npz"]
+        reopened = Dataset.open(path, name="taxi")
+        assert np.array_equal(reopened.block.aggregates.keys, old_keys)
+        assert np.array_equal(reopened.block.aggregates.counts, old_counts)
+        assert [view.name for view in reopened.materialized.views()] == ["hot"]
+        served = reopened.query(request())
+        assert served.stats.mv_cached == 1
+        assert served.count == want.count
+        for key, value in want.values.items():
+            assert np.float64(served.values[key]).tobytes() == np.float64(value).tobytes()
+
+    def test_failed_sidecar_write_never_serves_stale_views(self, tmp_path, monkeypatch):
+        dataset = build_dataset()
+        dataset.materialize(request(), name="hot")
+        path = tmp_path / "taxi.npz"
+        dataset.save(path)
+
+        dataset.append(make_rows())
+        self.fail_on_write(monkeypatch, call=2)
+        with pytest.raises(OSError, match="disk full"):
+            dataset.save(path)
+        monkeypatch.undo()
+
+        # The new block landed whole; the old sidecar's content stamp
+        # no longer matches it, so no view answers for the wrong data.
+        reopened = Dataset.open(path, name="taxi")
+        assert np.array_equal(reopened.block.aggregates.keys, dataset.block.aggregates.keys)
+        assert len(reopened.materialized) == 0
+        assert reopened.query(request()).count == dataset.query(request()).count

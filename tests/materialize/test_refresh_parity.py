@@ -66,7 +66,7 @@ def build_dataset(base, kind, **kwargs):
     if kind == "adaptive":
         kwargs.setdefault("policy", CachePolicy(threshold=0.5))
     elif kind == "sharded":
-        kwargs.setdefault("shard_level", 11)
+        kwargs.setdefault("shard_count", 8)
     kwargs.setdefault("cache", TieredCache())
     return Dataset.build(base, LEVEL, kind, name="taxi", **kwargs)
 

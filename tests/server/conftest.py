@@ -48,7 +48,7 @@ def build_dataset(base, kind: str, **kwargs) -> Dataset:  # noqa: ANN001 - BaseD
     if kind == "adaptive":
         kwargs.setdefault("policy", CachePolicy(threshold=0.5))
     elif kind == "sharded":
-        kwargs.setdefault("shard_level", 11)
+        kwargs.setdefault("shard_count", 8)
     return Dataset.build(base, LEVEL, kind, name="small", **kwargs)
 
 

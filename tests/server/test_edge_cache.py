@@ -149,8 +149,10 @@ class TestRevalidation:
             deadline.wait(0.05)
         assert cache.lookup("k", V1)[0] == "hit"
 
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
-    def test_marker_clears_after_failure(self, cache):
+    def test_marker_clears_after_failure(self, cache, clock):
+        store(cache)
+        clock.now += 6.0  # past the TTL: the entry is stale
+
         def explode() -> None:
             raise RuntimeError("recompute failed")
 
@@ -159,6 +161,10 @@ class TestRevalidation:
             if "k" not in cache._revalidating:
                 break
             threading.Event().wait(0.05)
+        # The failure is counted (never escapes the thread), and the
+        # stale entry keeps serving.
+        assert cache.stats()["revalidate_errors"] == 1
+        assert cache.lookup("k", V1)[0] == "stale"
         # The in-flight marker cleared, so the key can revalidate again.
         assert cache.revalidate("k", lambda: None) is True
 

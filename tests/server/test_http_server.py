@@ -128,6 +128,19 @@ class TestErrorMapping:
         assert reply.body["ok"] is False
         assert reply.body["error"]["code"] == code
 
+    def test_versionless_query_is_a_typed_400(self, client, edge):
+        payload = wire_query()
+        del payload["v"]
+        reply = client.query(payload)
+        assert reply.status == 400
+        assert reply.body["ok"] is False
+        assert reply.body["error"]["code"] == "bad_request"
+        assert '"v": 2' in reply.body["error"]["message"]
+        # A batch with one versionless member fails every member.
+        batch = client.query_batch([wire_query(), payload])
+        assert [member["error"]["code"] for member in batch.body] == ["bad_request"] * 2
+        assert len(edge) == 0
+
     def test_unknown_routes_are_404_envelopes(self, client):
         for method, path in (("GET", "/zzz"), ("POST", "/zzz")):
             reply = client.request(method, path, payload={} if method == "POST" else None)
