@@ -9,4 +9,4 @@ PEP 517 editable installs (which build a wheel) fail.  Keeping a classic
 
 from setuptools import setup
 
-setup(version="2.0.0")
+setup(version="3.0.0")

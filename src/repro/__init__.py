@@ -69,7 +69,7 @@ from repro.api import (
     QueryResponse,
     QueryStats,
 )
-from repro.cache import CacheConfig, TieredCache, configure as configure_cache, get_cache
+from repro.cache import TieredCache, get_cache
 from repro.cells import (
     EARTH,
     MAX_LEVEL,
@@ -112,7 +112,7 @@ from repro.storage import (
     extract,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "EARTH",

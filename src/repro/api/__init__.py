@@ -24,11 +24,14 @@ hand-assembling ``extract`` -> ``GeoBlock.build`` -> ``AggSpec`` lists:
 Serving is cache-accelerated end to end (:mod:`repro.cache`): coverings
 are shared process-wide under content-addressed keys, and repeated
 single-region requests -- wire dicts included, which re-parse their
-polygon every time -- serve the exact prior engine result from the
-versioned result tier (appends bump the dataset version, lazily
-invalidating).  ``GeoService(cache=TieredCache(...))`` isolates a
-service on a private cache; ``GeoService.stats()`` exposes per-tier
-telemetry; every v2 response carries a ``stats.cache`` block.
+polygon every time -- build one request key
+(:func:`repro.cache.results.request_key`) and serve the exact prior
+engine result from a materialized view (:mod:`repro.materialize`) or
+the versioned result tier (appends bump the data version, lazily
+invalidating).  ``GeoService(cache=TieredCache())`` isolates a service
+on a private cache and ``result_cache=False`` turns whole-answer
+caching off; ``GeoService.stats()`` exposes per-tier telemetry; every
+v2 response carries a ``stats.cache`` block.
 
 Query v2 quickstart::
 
@@ -96,14 +99,13 @@ from repro.api.request import (
     serialise_region,
 )
 from repro.api.service import GeoService
-from repro.cache import CacheConfig, TieredCache
+from repro.cache import TieredCache
 from repro.storage.expr import col, predicate_from_wire, predicate_to_wire
 
 __all__ = [
     "ApiError",
     "AppendRequest",
     "AppendResponse",
-    "CacheConfig",
     "Dataset",
     "GeoService",
     "TieredCache",

@@ -34,14 +34,16 @@ each other's hints), ``cache: false`` routes an adaptive dataset
 through its wrapped base block (no trie probes, no statistics
 recorded), and ``count_only`` takes the Listing 2 fast path.
 
-Every single-region query first probes the result tier of
-:mod:`repro.cache` (see :meth:`Dataset._result_key` for the key
-discipline): a repeat of an identical request -- wire, fluent, or
-batched -- serves the exact stored engine result, skipping covering
-and execution entirely, with byte-identical answers guaranteed because
-the tier stores outcomes.  Appends bump :attr:`Dataset.version`, which
-is part of every key, so writes lazily invalidate all warm entries for
-the dataset and its views.
+Every single-region query builds one
+:class:`~repro.cache.results.RequestKey` (:meth:`Dataset._request_key`)
+and probes the materialized views of :mod:`repro.materialize`, then the
+result tier of :mod:`repro.cache`, with it (:meth:`Dataset._probe`): a
+repeat of an identical request -- wire, fluent, or batched -- serves
+the exact stored engine result, skipping covering and execution
+entirely, with byte-identical answers guaranteed because both stores
+hold outcomes.  Both check the aggregates' ``data_version``, which
+every append bumps, so a write through any facade over the same block
+lazily invalidates the result tier and makes stale views miss.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from repro.api.request import (
     as_request,
     parse_where,
 )
-from repro.cache.results import ResultCacheScope, aggregate_key
+from repro.cache.results import RequestKey, ResultCacheScope, request_key
 from repro.cache.tiers import TieredCache
 from repro.core.adaptive import AdaptiveGeoBlock
 from repro.core.geoblock import GeoBlock
@@ -81,7 +83,7 @@ from repro.engine.executor import QueryResult as EngineResult
 from repro.core.policy import CachePolicy
 from repro.errors import QueryError
 from repro.materialize.store import MaterializedStore
-from repro.materialize.view import MaterializedView, build_records, mv_key as make_mv_key
+from repro.materialize.view import MaterializedView, build_records, materializable
 from repro.storage.etl import BaseData
 from repro.storage.expr import ALWAYS_TRUE, Predicate
 from repro.storage.table import PointTable
@@ -148,8 +150,8 @@ class Dataset:
         # The materialized-view tier (repro.materialize): hot answers
         # pinned as first-class views, refreshed incrementally on
         # append instead of invalidated.  Per dataset *and* per
-        # filtered view -- the MV key's predicate component is implicit
-        # in which store a view lives in.
+        # filtered view -- the predicate is implicit in which store a
+        # view lives in.
         self._mv = MaterializedStore()
         self._views: OrderedDict[str, Dataset] = OrderedDict()
         # Serialises view-cache mutation: 'where' reads mutate the LRU
@@ -492,14 +494,10 @@ class Dataset:
         """
         request = as_request(request)
         with self._rwlock.read():
-            return self._materialize_inner(request, name)
-
-    def _materialize_inner(self, request: QueryRequest, name: str | None) -> dict:
-        self._validate(request)
-        if request.where is not None:
-            view = self._view_inner(request.where)
-            return view._materialize_local(request, name)
-        return self._materialize_local(request, name)
+            self._validate(request)
+            if request.where is not None:
+                return self._view_inner(request.where)._materialize_local(request, name)
+            return self._materialize_local(request, name)
 
     def _materialize_local(self, request: QueryRequest, name: str | None) -> dict:
         """:meth:`materialize` against this block (``where`` already
@@ -510,25 +508,22 @@ class Dataset:
                 "cannot materialize a grouped query; pin each feature's "
                 "region as its own view",
             )
-        if not request.count_only and (request.mode or self.block.query_mode) == "scalar":
-            raise ApiError(
-                UNSUPPORTED_OP,
-                "the scalar execution model cannot be materialized: it has no "
-                "bit-identity gate against the vector fold an MV refresh "
-                "re-runs; use the kernel or vector mode",
-            )
-        key = self._mv_key(request)
-        if key is None:
+        key = self._request_key(request)
+        if not materializable(key):
             raise ApiError(
                 UNSUPPORTED_OP,
                 "cannot materialize this request: the target has no stable "
-                "region fingerprint",
+                "region fingerprint"
+                if key is None
+                else "the scalar execution model cannot be materialized: it has "
+                "no bit-identity gate against the vector fold an MV refresh "
+                "re-runs; use the kernel or vector mode",
             )
-        result_key = self._result_key(request)
-        result = self._scope.probe(result_key)
+        scope_key = self._scope.key(key, self.block.aggregates.data_version)
+        result = self._scope.probe(scope_key)
         if result is None:
             result = self._engine_result(request)
-            self._scope.fill(result_key, result)
+            self._scope.fill(scope_key, result)
         try:
             view = self._admit_view(request, key, result, pinned=True, name=name)
         except KeyError as error:
@@ -648,6 +643,9 @@ class Dataset:
         # A dataset built with its own filter keeps only qualifying
         # rows, exactly like a rebuild would.
         applied = qualifying(self.block.predicate)
+        # The pre-append data version: a materialized view stamped with
+        # another one missed a write through another facade.
+        data_version = self.block.aggregates.data_version
         try:
             appended, in_place = (
                 append_rows(self._handle, applied) if applied else (0, 0)
@@ -666,18 +664,23 @@ class Dataset:
         # recompute, and the restamped answers are bit-identical to a
         # cold rebuild -- the write path stays a cheap delta instead of
         # a cache-killer.
-        self._mv.refresh_all(self._handle, self._row_leaves(applied), self._version)
+        self._mv.refresh_all(
+            self._handle, self._row_leaves(applied), self._version, data_version
+        )
         with self._views_lock:
             views = list(self._views.values())
         for view in views:
             matching = qualifying(view.block.predicate)
+            view_version = view.block.aggregates.data_version
             if matching:
                 try:
                     append_rows(view._handle, matching)
                 except QueryError as error:  # pragma: no cover - parent validated
                     raise ApiError(BAD_REQUEST, str(error)) from error
             view._version = self._version
-            view._mv.refresh_all(view._handle, view._row_leaves(matching), self._version)
+            view._mv.refresh_all(
+                view._handle, view._row_leaves(matching), self._version, view_version
+            )
         return AppendResponse(
             appended=appended,
             in_place=in_place,
@@ -779,38 +782,41 @@ class Dataset:
             return view._execute(request)
         return self._execute(request)
 
-    def _result_key(self, request: QueryRequest) -> tuple | None:
-        """The result-tier key of a single-region request, or ``None``
-        when the request is not cacheable (grouped requests answer
-        per-feature; cell-union targets carry no geometry).
-
-        The version component is the *aggregates'* mutation counter,
-        not this facade's :attr:`version`: the counter lives on the
-        object writes actually mutate, so an append through any other
-        wrapper of the same block (another ``Dataset`` over the same
-        handle, a direct ``core.updates`` call) invalidates this
-        facade's entries too.  Mode, trie hint, and the count-only flag
-        are key components because each pins a distinct float-fold (or
-        count) sequence; a cached answer is byte-identical only under
-        the same model.
-        """
-        if request.grouped:
-            return None
-        data_version = self.block.aggregates.data_version
-        if request.count_only:
-            # The Listing 2 path ignores mode and bypasses the trie.
-            return self._scope.key(
-                request.target, data_version, "count_only", None, False, True
-            )
-        trie = request.cache and isinstance(self._handle, AdaptiveGeoBlock)
-        return self._scope.key(
+    def _request_key(self, request: QueryRequest) -> RequestKey | None:
+        """The one key of a single-region request (None for targets with
+        no geometry): the result tier and the MV store both use it.
+        The trie hint only matters on adaptive handles."""
+        return request_key(
             request.target,
-            data_version,
-            aggregate_key(request.aggregates),
+            request.aggregates,
             request.mode or self.block.query_mode,
-            trie,
-            False,
+            request.cache and isinstance(self._handle, AdaptiveGeoBlock),
+            request.count_only,
         )
+
+    def _probe(
+        self, key: RequestKey | None
+    ) -> tuple[EngineResult | None, bool, bool, tuple | None]:
+        """Look ``key`` up in the MV store, then the result tier; returns
+        ``(result, result_cached, mv_cached, scope_key)`` with ``result``
+        None on a miss of both (``scope_key`` is what the caller fills).
+
+        Both stores check the aggregates' mutation counter rather than
+        this facade's :attr:`version`: the counter lives on the object
+        writes actually mutate, so an append through any other wrapper
+        of the same block makes this facade miss too.  An MV hit still
+        probes (and on a miss re-fills) the result tier, so that tier's
+        telemetry and warmth are unchanged by MVs sitting above it.
+        """
+        data_version = self.block.aggregates.data_version
+        scope_key = self._scope.key(key, data_version)
+        view = self._mv.lookup(key, data_version)
+        cached = self._scope.probe(scope_key)
+        if view is None:
+            return cached, cached is not None, False, scope_key
+        if cached is None:
+            self._scope.fill(scope_key, view.result)
+        return view.result, cached is not None, True, scope_key
 
     def _routing_root(self) -> "Dataset":
         root = self
@@ -850,50 +856,17 @@ class Dataset:
             "pruning_rate": (pruned / total) if total else 0.0,
         }
 
-    def _cached_response(self, result, latency_ms: float) -> QueryResponse:  # noqa: ANN001
-        """A response rebuilt from a result-tier hit: values and count
-        are the exact cached objects; the probe/hit counters describe
-        the execution that originally produced them."""
-        result = result.as_cached()
-        return QueryResponse(
-            values=dict(result.values),
-            count=result.count,
-            stats=QueryStats(
-                cells_probed=result.cells_probed,
-                cache_hits=result.cache_hits,
-                latency_ms=latency_ms,
-                covering_cached=int(result.covering_cached),
-                result_cached=int(result.result_cached),
-                shards_total=result.shards_total,
-                shards_pruned=result.shards_pruned,
-            ),
-            dataset=self.name,
-            version=self._version,
-        )
-
-    def _mv_key(self, request: QueryRequest) -> tuple | None:
-        """The materialized-view store key of a request, or ``None``
-        when the MV tier cannot serve it: grouped requests (per-feature
-        answers), geometry-free targets, and the scalar execution model
-        (the one model with no bit-identity gate against the vector
-        fold an MV refresh re-runs)."""
-        if request.grouped:
-            return None
-        try:
-            if request.count_only:
-                return make_mv_key(request.target, (), None, False, True)
-            mode = request.mode or self.block.query_mode
-            if mode == "scalar":
-                return None
-            trie = request.cache and isinstance(self._handle, AdaptiveGeoBlock)
-            return make_mv_key(request.target, request.aggregates, mode, trie, False)
-        except TypeError:
-            return None
-
-    def _mv_response(self, view: MaterializedView, result_cached: bool, latency_ms: float) -> QueryResponse:
-        """A response served by the MV tier (values/count are the
-        view's current refreshed answer, exact by the refresh gate)."""
-        result = view.result
+    def _response(
+        self,
+        result: EngineResult,
+        latency_ms: float,
+        result_cached: bool = False,
+        mv_cached: bool = False,
+    ) -> QueryResponse:
+        """The response of one single-region answer.  For a stored
+        answer (``result_cached``/``mv_cached``) values and count are the
+        exact stored objects, and the probe/hit counters describe the
+        execution that originally produced them."""
         return QueryResponse(
             values=dict(result.values),
             count=result.count,
@@ -903,7 +876,7 @@ class Dataset:
                 latency_ms=latency_ms,
                 covering_cached=int(result.covering_cached),
                 result_cached=int(result_cached),
-                mv_cached=1,
+                mv_cached=int(mv_cached),
                 shards_total=result.shards_total,
                 shards_pruned=result.shards_pruned,
             ),
@@ -928,25 +901,10 @@ class Dataset:
         handle = self._execution_handle(request)
         return handle.select(request.target, list(request.aggregates), mode=request.mode)
 
-    def _maybe_admit(self, request: QueryRequest, key: tuple | None, result: EngineResult) -> None:
-        """Feed the MV admission log with a tier miss; admit once the
-        key crosses the threshold (``result`` is the exact current
-        answer -- engine-produced or result-tier stored, both cold-
-        identical at this version).  Auto-admission follows the result
-        tier's enabled flag: a cache-off dataset must stay cache-off."""
-        if key is None or not self._scope.enabled:
-            return
-        if not self._mv.observe(key):
-            return
-        try:
-            self._admit_view(request, key, result, pinned=False, name=None)
-        except KeyError:  # pragma: no cover - concurrent admission race
-            pass
-
     def _admit_view(
         self,
         request: QueryRequest,
-        key: tuple,
+        key: RequestKey,
         result: EngineResult,
         pinned: bool,
         name: str | None,
@@ -962,18 +920,12 @@ class Dataset:
             name=name if name is not None else self._mv.auto_name(),
             region=request.target,
             aggs=() if request.count_only else request.aggregates,
-            mode=None if request.count_only else (request.mode or block.query_mode),
-            trie_hint=bool(
-                not request.count_only
-                and request.cache
-                and isinstance(self._handle, AdaptiveGeoBlock)
-            ),
-            count_only=request.count_only,
             key=key,
             covering=covering,
             records=records,
             result=result,
             version=self._version,
+            data_version=block.aggregates.data_version,
             pinned=pinned,
         )
         return self._mv.admit(view)
@@ -982,48 +934,31 @@ class Dataset:
         """Carry out a validated request against this dataset's block
         (``where`` already resolved to a view by :meth:`query`).
 
-        Single-region requests probe the MV tier first, then the result
-        tier: both serve exact stored :class:`QueryResult` objects --
-        covering and execution skipped -- byte-identical to cold
-        execution because both tiers store outcomes, never recompute.
-        An MV hit still probes (and on a version-bumped miss, re-fills)
-        the result tier, so that tier's telemetry and warmth are
-        unchanged by MVs sitting above it.
+        Single-region requests answer from :meth:`_probe` when either
+        store holds the answer -- covering and execution skipped,
+        byte-identical to cold execution because both store outcomes --
+        and otherwise execute, fill the result tier, and feed the MV
+        admission log.
         """
         if request.grouped:
             return self._execute_grouped(request)
-        key = self._result_key(request)
-        mv_key = self._mv_key(request)
+        key = self._request_key(request)
         start = perf_counter()
-        view = self._mv.lookup(mv_key)
-        if view is not None:
-            cached = self._scope.probe(key)
-            if cached is None:
-                self._scope.fill(key, view.result)
-            return self._mv_response(view, cached is not None, (perf_counter() - start) * 1e3)
-        cached = self._scope.probe(key)
-        if cached is not None:
-            response = self._cached_response(cached, (perf_counter() - start) * 1e3)
-            self._maybe_admit(request, mv_key, cached)
-            return response
-        result = self._engine_result(request)
-        self._scope.fill(key, result)
-        self._maybe_admit(request, mv_key, result)
-        self._note_routing(result)
-        latency_ms = (perf_counter() - start) * 1e3
-        return QueryResponse(
-            values=dict(result.values),
-            count=result.count,
-            stats=QueryStats(
-                cells_probed=result.cells_probed,
-                cache_hits=result.cache_hits,
-                latency_ms=latency_ms,
-                covering_cached=int(result.covering_cached),
-                shards_total=result.shards_total,
-                shards_pruned=result.shards_pruned,
-            ),
-            dataset=self.name,
-            version=self._version,
+        result, result_cached, mv_cached, scope_key = self._probe(key)
+        if result is None:
+            result = self._engine_result(request)
+            self._scope.fill(scope_key, result)
+            self._note_routing(result)
+        # Feed the MV admission log with a store miss; ``result`` is the
+        # exact current answer either way.  Auto-admission follows the
+        # result tier's enabled flag: a cache-off dataset stays cache-off.
+        if not mv_cached and self._scope.enabled and self._mv.observe(key):
+            try:
+                self._admit_view(request, key, result, pinned=False, name=None)
+            except KeyError:  # pragma: no cover - concurrent admission race
+                pass
+        return self._response(
+            result, (perf_counter() - start) * 1e3, result_cached, mv_cached
         )
 
     def _execute_grouped(self, request: QueryRequest) -> QueryResponse:
@@ -1122,30 +1057,22 @@ class Dataset:
             if request.count_only or request.grouped or request.where is not None:
                 responses[index] = self._query_inner(request)
                 continue
-            # MV-tier then result-tier probe: members already answered
-            # (same region, aggregates, version, and hints) never reach
-            # the engine pass; the rest execute batched and fill on the
-            # way out.  Batch members serve from MVs but do not feed
-            # the admission log -- admission is driven by the
-            # single-query serving path (:meth:`_execute`).
-            key = self._result_key(request)
+            # Members already answered (same region, aggregates,
+            # version, and hints) never reach the engine pass; the rest
+            # execute batched and fill on the way out.  Batch members
+            # serve from MVs but do not feed the admission log --
+            # admission is driven by the single-query serving path
+            # (:meth:`_execute`).
             probe_start = perf_counter()
-            view = self._mv.lookup(self._mv_key(request))
-            if view is not None:
-                cached = self._scope.probe(key)
-                if cached is None:
-                    self._scope.fill(key, view.result)
-                responses[index] = self._mv_response(
-                    view, cached is not None, (perf_counter() - probe_start) * 1e3
+            result, result_cached, mv_cached, scope_key = self._probe(
+                self._request_key(request)
+            )
+            if result is not None:
+                responses[index] = self._response(
+                    result, (perf_counter() - probe_start) * 1e3, result_cached, mv_cached
                 )
                 continue
-            cached = self._scope.probe(key)
-            if cached is not None:
-                responses[index] = self._cached_response(
-                    cached, (perf_counter() - probe_start) * 1e3
-                )
-                continue
-            fill_keys[index] = key
+            fill_keys[index] = scope_key
             cache_key = request.cache if cache_matters else True
             groups.setdefault((request.mode, cache_key), []).append(index)
         for (mode, _cache), indices in groups.items():
@@ -1160,20 +1087,7 @@ class Dataset:
             for index, result in zip(indices, results):
                 self._scope.fill(fill_keys[index], result)
                 self._note_routing(result)
-                responses[index] = QueryResponse(
-                    values=dict(result.values),
-                    count=result.count,
-                    stats=QueryStats(
-                        cells_probed=result.cells_probed,
-                        cache_hits=result.cache_hits,
-                        latency_ms=latency_ms,
-                        covering_cached=int(result.covering_cached),
-                        shards_total=result.shards_total,
-                        shards_pruned=result.shards_pruned,
-                    ),
-                    dataset=self.name,
-                    version=self._version,
-                )
+                responses[index] = self._response(result, latency_ms)
         return [response for response in responses if response is not None]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

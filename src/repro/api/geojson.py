@@ -24,6 +24,7 @@ Deviations from the RFC, both deliberate:
 
 from __future__ import annotations
 
+import math
 
 from repro.api.errors import BAD_REGION, ApiError
 from repro.errors import GeometryError
@@ -40,6 +41,12 @@ def _bad(message: str, **details) -> ApiError:  # noqa: ANN003 - JSON details
     return ApiError(BAD_REGION, message, details=details or None)
 
 
+def is_coordinate(value: object) -> bool:
+    """A finite JSON number (booleans are not numbers on the wire; NaN
+    and infinities would poison every covering computed from them)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _parse_ring(ring: object, where: str) -> list[tuple[float, float]]:
     """One linear ring -> vertex list (closing position tolerated)."""
     if not isinstance(ring, (list, tuple)) or len(ring) < 3:
@@ -49,10 +56,10 @@ def _parse_ring(ring: object, where: str) -> list[tuple[float, float]]:
         if (
             not isinstance(position, (list, tuple))
             or len(position) < 2
-            or not all(isinstance(value, (int, float)) and not isinstance(value, bool) for value in position[:2])
+            or not all(is_coordinate(value) for value in position[:2])
         ):
             raise _bad(
-                f"{where}: position {index} must be an [x, y] pair of numbers",
+                f"{where}: position {index} must be an [x, y] pair of finite numbers",
                 position=index,
             )
         vertices.append((float(position[0]), float(position[1])))

@@ -62,6 +62,7 @@ from repro.api.errors import (
 )
 from repro.api.geojson import (
     features_from_geojson,
+    is_coordinate,
     region_from_geojson,
     region_to_geojson,
 )
@@ -186,10 +187,10 @@ def parse_region(payload: object) -> Polygon | MultiPolygon | BoundingBox:
         if (
             not isinstance(bbox, (list, tuple))
             or len(bbox) != 4
-            or not all(isinstance(value, (int, float)) and not isinstance(value, bool) for value in bbox)
+            or not all(is_coordinate(value) for value in bbox)
         ):
             raise ApiError(
-                BAD_REGION, "'bbox' must be [min_x, min_y, max_x, max_y] numbers"
+                BAD_REGION, "'bbox' must be [min_x, min_y, max_x, max_y] finite numbers"
             )
         try:
             return BoundingBox(*(float(value) for value in bbox))

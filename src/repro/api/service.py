@@ -46,12 +46,12 @@ class GeoService:
 
     ``cache`` binds every registered dataset to a private
     :class:`~repro.cache.tiers.TieredCache` instead of the process-wide
-    shared one (multi-tenant isolation, or custom sizing via
-    :class:`~repro.cache.tiers.CacheConfig`); ``result_cache=False``
-    turns off whole-answer caching service-wide while keeping covering
-    reuse.  :meth:`stats` exposes both tiers' telemetry and
-    :meth:`invalidate` is the eager result-tier drop (appends already
-    invalidate lazily through the dataset version).
+    shared one (multi-tenant isolation); ``result_cache=False`` turns
+    off whole-answer caching (result tier and MV auto-admission)
+    service-wide while keeping covering reuse.  :meth:`stats` exposes
+    both tiers' telemetry and :meth:`invalidate` is the eager
+    result-tier drop (appends already invalidate lazily through the
+    dataset version).
     """
 
     def __init__(

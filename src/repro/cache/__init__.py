@@ -21,9 +21,10 @@ result tier            the AggregateTrie's end goal taken one step
                        short-circuits *per covering cell*, the result
                        tier short-circuits the *whole query* -- exact
                        :class:`~repro.engine.executor.QueryResult`
-                       objects keyed by dataset version, region
-                       fingerprint, aggregates, filter, and execution
-                       model
+                       objects keyed by the request key (region
+                       fingerprint, aggregates, execution model)
+                       behind the dataset token, filter, and data
+                       version
 AggregateTrie          unchanged -- the per-cell adaptive cache of
 (:mod:`repro.core.     Figure 8 remains inside ``AdaptiveGeoBlock``;
 trie`)                 this package caches *around* it
@@ -32,45 +33,49 @@ trie`)                 this package caches *around* it
 Keys are content-addressed (:func:`repro.cells.fingerprint.region_fingerprint`):
 a polygon parsed from the same GeoJSON twice fingerprints identically,
 so wire traffic -- which re-parses every request -- shares cache
-entries with fluent and batch queries.  Invalidation is version-based
-and lazy: appends bump the dataset version that is part of every
-result key, so stale entries become unreachable and age out of the
-LRU; nothing blocks the write path.
+entries with fluent and batch queries.  A single-region request builds
+its :class:`~repro.cache.results.RequestKey` once
+(:func:`~repro.cache.results.request_key`); the result tier and the
+materialized views of :mod:`repro.materialize` both key by it.
+Invalidation is version-based and lazy: appends bump the data version
+that is part of every result key, so stale entries become unreachable
+and age out of the LRU; nothing blocks the write path.
 
 Entry points: :func:`get_cache` (the shared process-wide instance),
-:func:`configure` / :func:`set_cache` (startup sizing),
 :class:`TieredCache` (a private instance, e.g. per
 :class:`~repro.api.service.GeoService`), and
 :class:`~repro.cache.results.ResultCacheScope` (the per-dataset result
 handle).
 """
 
-from repro.cache.results import ResultCacheScope, aggregate_key, new_dataset_token
+from repro.cache.results import (
+    RequestKey,
+    ResultCacheScope,
+    aggregate_key,
+    new_dataset_token,
+    request_key,
+)
 from repro.cache.tiers import (
     DEFAULT_COVERING_ENTRIES,
     DEFAULT_RESULT_ENTRIES,
-    CacheConfig,
     CacheTier,
     TieredCache,
-    configure,
     get_cache,
     reset_cache,
-    set_cache,
 )
 from repro.cells.fingerprint import region_fingerprint
 
 __all__ = [
     "DEFAULT_COVERING_ENTRIES",
     "DEFAULT_RESULT_ENTRIES",
-    "CacheConfig",
     "CacheTier",
+    "RequestKey",
     "ResultCacheScope",
     "TieredCache",
     "aggregate_key",
-    "configure",
     "get_cache",
     "new_dataset_token",
     "region_fingerprint",
+    "request_key",
     "reset_cache",
-    "set_cache",
 ]

@@ -1,12 +1,17 @@
 """The result tier's key discipline: versioned, per-dataset scopes.
 
-A :class:`ResultCacheScope` is the handle a serving component (one
-:class:`~repro.api.dataset.Dataset`, including each filtered view)
-holds on the shared result tier.  It owns the key layout so every
-serving path builds identical keys::
+Every single-region request is identified by one :class:`RequestKey`,
+built once by :func:`request_key`::
 
-    (dataset token, predicate key, version,
-     region fingerprint, aggregate key, mode, trie hint, count_only)
+    (region fingerprint, aggregate key, resolved mode, trie hint, count_only)
+
+The materialized-view store (:mod:`repro.materialize`) keys its views
+by it directly.  A :class:`ResultCacheScope` -- the handle a serving
+component (one :class:`~repro.api.dataset.Dataset`, including each
+filtered view) holds on the shared result tier -- prefixes it with the
+scope's identity and the data version (:meth:`ResultCacheScope.key`)::
+
+    (dataset token, predicate key, version, request key)
 
 * the **dataset token** is a process-unique integer allocated per root
   dataset (views share their root's token); re-registering a name or
@@ -26,7 +31,9 @@ serving path builds identical keys::
 * **mode / trie hint / count_only** pin the execution model, because
   scalar and vector folds (and the Listing 2 count path) are distinct
   float-rounding sequences: a cached answer is only byte-identical to
-  re-execution under the *same* model.
+  re-execution under the *same* model.  The count-only path ignores
+  aggregates and mode and bypasses the trie, so its keys normalise
+  those components away.
 
 The cached value is the exact :class:`~repro.engine.executor.QueryResult`
 the executor produced, so served answers are bit-identical to cold
@@ -38,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.cache.tiers import TieredCache, get_cache
 from repro.cells.fingerprint import region_fingerprint
@@ -60,6 +67,36 @@ def aggregate_key(aggs: Sequence["AggSpec"]) -> str:
     """The aggregate list as a stable key component (order preserved:
     it is the response's value ordering, part of the exact answer)."""
     return "|".join(spec.key for spec in aggs)
+
+
+class RequestKey(NamedTuple):
+    """The identity of one single-region answer (see the module doc)."""
+
+    fingerprint: str
+    aggregates: str
+    mode: str | None
+    trie: bool
+    count_only: bool
+
+
+def request_key(
+    target: object,
+    aggs: Sequence["AggSpec"],
+    mode: str | None,
+    trie: bool,
+    count_only: bool,
+) -> RequestKey | None:
+    """The key of a single-region request, or ``None`` when the target
+    is a pre-computed cell union with no geometry to fingerprint.
+    ``mode`` is the resolved execution model; ``trie`` whether the
+    request runs through an adaptive block's trie."""
+    try:
+        fingerprint = region_fingerprint(target)
+    except TypeError:
+        return None
+    if count_only:
+        return RequestKey(fingerprint, "count_only", None, False, True)
+    return RequestKey(fingerprint, aggregate_key(aggs), mode, trie, False)
 
 
 class ResultCacheScope:
@@ -95,49 +132,26 @@ class ResultCacheScope:
             self._cache, token=self.token, predicate_key=predicate_key, enabled=self.enabled
         )
 
-    def key(
-        self,
-        target: object,
-        version: int,
-        agg_key: str,
-        mode: str | None,
-        trie: bool,
-        count_only: bool,
-    ) -> tuple | None:
+    def key(self, key: RequestKey | None, data_version: int) -> tuple | None:
         """The full result-tier key, or ``None`` when caching cannot
-        apply: the scope is disabled (don't pay the fingerprint hash on
-        cache-off serving paths) or the target is a pre-computed cell
-        union with no geometry to fingerprint."""
-        if not self.enabled:
+        apply: the scope is disabled or the request has no key."""
+        if key is None or not self.enabled:
             return None
-        try:
-            fingerprint = region_fingerprint(target)
-        except TypeError:
-            return None
-        return (
-            self.token,
-            self.predicate_key,
-            version,
-            fingerprint,
-            agg_key,
-            mode,
-            trie,
-            count_only,
-        )
+        return (self.token, self.predicate_key, data_version, key)
 
     def probe(self, key: tuple | None) -> "QueryResult | None":
         """The cached exact result for ``key``, or ``None`` on a miss.
 
-        A disabled scope neither probes nor records a miss, so the
-        telemetry of a cache-off dataset stays silent.
+        A disabled scope builds no keys (:meth:`key`), so it neither
+        probes nor records a miss: the telemetry of a cache-off dataset
+        stays silent.
         """
-        if key is None or not self.enabled:
+        if key is None:
             return None
-        result = self._cache.results.get(key)
-        return result  # type: ignore[return-value]
+        return self._cache.results.get(key)  # type: ignore[return-value]
 
     def fill(self, key: tuple | None, result: "QueryResult") -> None:
-        if key is None or not self.enabled:
+        if key is None:
             return
         # Rough value footprint: the frozen dataclass, its stats, and
         # one dict slot per aggregate value.

@@ -9,9 +9,14 @@ Two bounded, thread-safe LRU tiers:
   and baselines covering the same polygon at the same level share one
   entry;
 * the **result tier** holds exact :class:`~repro.engine.executor.QueryResult`
-  objects keyed by ``(dataset token, version, region fingerprint,
-  aggregate spec, predicate key, execution hints)``, short-circuiting
-  covering *and* execution on repeat queries.
+  objects keyed by ``(dataset token, predicate key, version, request
+  key)`` (:mod:`repro.cache.results`), short-circuiting covering *and*
+  execution on repeat queries.
+
+Both tiers are sized by :data:`DEFAULT_COVERING_ENTRIES` and
+:data:`DEFAULT_RESULT_ENTRIES`; whole-answer caching is switched off
+per dataset or service with ``result_cache=False``, never by sizing a
+tier to zero.
 
 Invalidation is version-based and lazy: the dataset version is part of
 every result key, so an append (which bumps the version) makes all
@@ -27,7 +32,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 
 #: Default entry bounds per tier.  Serving workloads in the paper query
 #: a few hundred distinct polygons; the defaults keep every covering
@@ -40,39 +44,13 @@ DEFAULT_RESULT_ENTRIES = 8192
 MISSING = object()
 
 
-@dataclass(frozen=True)
-class CacheConfig:
-    """Sizing knobs of one :class:`TieredCache`.
-
-    ``result_entries=0`` disables the result tier outright (probes
-    always miss, fills are dropped); the covering tier cannot be
-    disabled, only bounded -- covering reuse is value-preserving by
-    construction and never needs an off switch.
-    """
-
-    covering_entries: int = DEFAULT_COVERING_ENTRIES
-    result_entries: int = DEFAULT_RESULT_ENTRIES
-
-    def __post_init__(self) -> None:
-        if self.covering_entries < 1:
-            raise ValueError("covering tier needs at least one entry")
-        if self.result_entries < 0:
-            raise ValueError("result tier entries must be >= 0 (0 disables it)")
-
-
 class CacheTier:
     """One bounded, thread-safe LRU tier with hit/miss/eviction/bytes
-    telemetry.
-
-    ``max_entries=0`` makes the tier inert: every ``get`` misses and
-    every ``put`` is dropped (the disabled result tier).
-    """
+    telemetry."""
 
     __slots__ = ("name", "_entries", "_max_entries", "_lock", "hits", "misses", "evictions", "_bytes")
 
     def __init__(self, name: str, max_entries: int) -> None:
-        if max_entries < 0:
-            raise ValueError("cache tier capacity must be >= 0")
         self.name = name
         self._entries: OrderedDict[object, tuple[object, int]] = OrderedDict()
         self._max_entries = max_entries
@@ -87,10 +65,6 @@ class CacheTier:
             return len(self._entries)
 
     @property
-    def max_entries(self) -> int:
-        return self._max_entries
-
-    @property
     def nbytes(self) -> int:
         """Approximate bytes held by cached values."""
         with self._lock:
@@ -103,11 +77,6 @@ class CacheTier:
 
     def get(self, key: object, default: object = None) -> object:
         with self._lock:
-            if self._max_entries == 0:
-                # Disabled tier: stay silent, like a disabled scope --
-                # an ever-growing miss count would read as cache thrash
-                # on dashboards rather than "tier off".
-                return default
             entry = self._entries.get(key, MISSING)
             if entry is MISSING:
                 self.misses += 1
@@ -118,8 +87,6 @@ class CacheTier:
 
     def put(self, key: object, value: object, nbytes: int = 0) -> None:
         with self._lock:
-            if self._max_entries == 0:
-                return
             old = self._entries.get(key)
             if old is not None:
                 self._bytes -= old[1]
@@ -171,12 +138,11 @@ class TieredCache:
     """The covering + result tier pair one process (or one service,
     when configured privately) shares."""
 
-    __slots__ = ("config", "coverings", "results")
+    __slots__ = ("coverings", "results")
 
-    def __init__(self, config: CacheConfig | None = None) -> None:
-        self.config = config or CacheConfig()
-        self.coverings = CacheTier("covering", self.config.covering_entries)
-        self.results = CacheTier("result", self.config.result_entries)
+    def __init__(self) -> None:
+        self.coverings = CacheTier("covering", DEFAULT_COVERING_ENTRIES)
+        self.results = CacheTier("result", DEFAULT_RESULT_ENTRIES)
 
     def invalidate_dataset(self, token: int) -> int:
         """Eagerly drop every result-tier entry of dataset ``token``
@@ -193,50 +159,16 @@ class TieredCache:
         """Telemetry of both tiers (the ``GeoService.stats()`` payload)."""
         return {"covering": self.coverings.stats(), "result": self.results.stats()}
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"TieredCache(coverings={len(self.coverings)}/{self.coverings.max_entries}, "
-            f"results={len(self.results)}/{self.results.max_entries})"
-        )
-
 
 # -- the process-wide shared instance ------------------------------------
 
 _shared = TieredCache()
-_shared_lock = threading.Lock()
 
 
 def get_cache() -> TieredCache:
     """The process-wide shared cache every planner and dataset uses
     unless explicitly bound to a private one."""
     return _shared
-
-
-def set_cache(cache: TieredCache) -> TieredCache:
-    """Replace the process-wide shared cache (returns the new one).
-
-    Components that already resolved the old instance keep it; this is
-    a process-startup configuration hook, not a live swap.
-    """
-    global _shared
-    with _shared_lock:
-        _shared = cache
-    return _shared
-
-
-def configure(
-    covering_entries: int = DEFAULT_COVERING_ENTRIES,
-    result_entries: int = DEFAULT_RESULT_ENTRIES,
-) -> TieredCache:
-    """Rebuild the process-wide cache with new bounds.
-
-    Call at process startup, *before* building blocks or datasets:
-    like :func:`set_cache`, this replaces the shared instance, and
-    components constructed earlier keep the one they already resolved.
-    (:func:`reset_cache` by contrast clears the current instance in
-    place and affects everyone at any time.)
-    """
-    return set_cache(TieredCache(CacheConfig(covering_entries, result_entries)))
 
 
 def reset_cache() -> TieredCache:

@@ -102,6 +102,8 @@ class RegionCoverer:
             raise CellError(f"level must be in [0, {MAX_LEVEL}], got {level}")
         edges = _EdgeSet.from_region(region)
         start = self._start_cell(region, level)
+        if start is None:
+            return CellUnion(np.empty(0, dtype=np.int64))
         output: list[np.ndarray] = []
         frontier = np.asarray([start], dtype=np.int64)
         current_level = cellid.level_of(start)
@@ -170,7 +172,11 @@ class RegionCoverer:
         return min_x, min_y, min_x + width, min_y + height
 
 
-    def _start_cell(self, region: Region, level: int) -> int:
+    def _start_cell(self, region: Region, level: int) -> int | None:
+        """The cell the covering descends from; None when the region
+        lies outside the space's domain (its covering is empty)."""
+        if region.bounding_box.intersection(self._space.domain) is None:
+            return None
         start = self._space.smallest_enclosing_cell(region.bounding_box)
         start_level = cellid.level_of(start)
         if start_level > level:
@@ -186,6 +192,8 @@ class RegionCoverer:
             raise CellError(f"level must be in [0, {MAX_LEVEL}], got {level}")
         edges = _EdgeSet.from_region(region)
         start = self._start_cell(region, level)
+        if start is None:
+            return CellUnion(np.empty(0, dtype=np.int64))
         output: list[int] = []
         stack: list[tuple[int, np.ndarray]] = [(start, np.arange(edges.count, dtype=np.int64))]
         while stack:

@@ -46,11 +46,15 @@ class CellSpace:
     # -- coordinate quantisation ------------------------------------------
 
     def to_ij(self, x: float, y: float, level: int = MAX_LEVEL) -> tuple[int, int]:
-        """Quantise a point to discrete (i, j) cell coordinates."""
+        """Quantise a point to discrete (i, j) cell coordinates.
+
+        Clamping happens before the integer conversion, so a finite
+        point however far outside the domain (whose scaled coordinate
+        overflows to infinity) lands in the nearest edge cell."""
         side = 1 << level
-        i = int((x - self.domain.min_x) / self.domain.width * side)
-        j = int((y - self.domain.min_y) / self.domain.height * side)
-        return min(max(i, 0), side - 1), min(max(j, 0), side - 1)
+        i = (x - self.domain.min_x) / self.domain.width * side
+        j = (y - self.domain.min_y) / self.domain.height * side
+        return int(min(max(i, 0.0), side - 1)), int(min(max(j, 0.0), side - 1))
 
     def to_ij_arrays(
         self, xs: np.ndarray, ys: np.ndarray, level: int = MAX_LEVEL
@@ -59,11 +63,11 @@ class CellSpace:
         side = 1 << level
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
-        i = ((xs - self.domain.min_x) / self.domain.width * side).astype(np.int64)
-        j = ((ys - self.domain.min_y) / self.domain.height * side).astype(np.int64)
-        np.clip(i, 0, side - 1, out=i)
-        np.clip(j, 0, side - 1, out=j)
-        return i, j
+        # Clamp before the cast, like to_ij (far points overflow to inf).
+        with np.errstate(over="ignore"):
+            i = np.clip((xs - self.domain.min_x) / self.domain.width * side, 0, side - 1)
+            j = np.clip((ys - self.domain.min_y) / self.domain.height * side, 0, side - 1)
+        return i.astype(np.int64), j.astype(np.int64)
 
     # -- point -> cell ------------------------------------------------------
 

@@ -23,6 +23,7 @@ never a full re-partition.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -168,6 +169,10 @@ def append_rows(handle, rows: "Sequence[Mapping[str, float]]") -> tuple[int, int
             )
         except (TypeError, ValueError) as error:
             raise QueryError(f"row {index} has a non-numeric value: {error}") from error
+        if not (math.isfinite(parsed[-1][0]) and math.isfinite(parsed[-1][1])):
+            # Extract drops such points (CleaningRules.mask); a rebuild
+            # would never contain this row.
+            raise QueryError(f"row {index} has a non-finite coordinate")
     in_place = 0
     for x, y, values in parsed:
         if adaptive:

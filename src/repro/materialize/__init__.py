@@ -23,7 +23,7 @@ from repro.materialize.store import (
     MaterializedStore,
     QueryLog,
 )
-from repro.materialize.view import MaterializedView, build_records, mv_key
+from repro.materialize.view import MaterializedView, build_records, materializable
 
 __all__ = [
     "DEFAULT_ADMIT_AFTER",
@@ -34,7 +34,7 @@ __all__ = [
     "QueryLog",
     "build_records",
     "load_views",
-    "mv_key",
+    "materializable",
     "save_views",
     "sidecar_path",
 ]

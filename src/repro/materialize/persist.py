@@ -29,7 +29,8 @@ from repro.core.aggregates import AggSpec, CellAggregates
 from repro.core.serialize import read_archive_meta, write_archive
 from repro.engine.executor import QueryResult
 from repro.materialize.store import MaterializedStore
-from repro.materialize.view import MaterializedView, mv_key
+from repro.cache.results import request_key
+from repro.materialize.view import MaterializedView
 
 #: Bumped whenever the sidecar layout changes.
 MV_FORMAT_VERSION = 1
@@ -102,9 +103,9 @@ def save_views(
                 "name": view.name,
                 "region": serialise_region(view.region),
                 "aggs": [[spec.function, spec.column] for spec in view.aggs],
-                "mode": view.mode,
-                "trie": view.trie_hint,
-                "count_only": view.count_only,
+                "mode": view.key.mode,
+                "trie": view.key.trie,
+                "count_only": view.key.count_only,
                 "pinned": view.pinned,
                 "hits": view.hits,
                 "version": view.refreshed_version,
@@ -159,10 +160,7 @@ def load_views(path: str | pathlib.Path, store: MaterializedStore, aggregates: C
                     name=view_meta["name"],
                     region=region,
                     aggs=aggs,
-                    mode=view_meta["mode"],
-                    trie_hint=bool(view_meta["trie"]),
-                    count_only=bool(view_meta["count_only"]),
-                    key=mv_key(
+                    key=request_key(
                         region,
                         aggs,
                         view_meta["mode"],
@@ -173,6 +171,8 @@ def load_views(path: str | pathlib.Path, store: MaterializedStore, aggregates: C
                     records=records,
                     result=_result_from_meta(view_meta["result"]),
                     version=int(view_meta["version"]),
+                    # The stamp proves the records match these arrays.
+                    data_version=aggregates.data_version,
                     pinned=bool(view_meta["pinned"]),
                     hits=int(view_meta["hits"]),
                 )

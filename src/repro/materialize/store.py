@@ -1,11 +1,12 @@
 """The per-dataset materialized-view store: admission, LRU, refresh.
 
 One :class:`MaterializedStore` lives on every :class:`Dataset` (each
-filtered view holds its own -- the MV key's predicate component is
-implicit in which store it lives in).  It owns three things:
+filtered view holds its own -- the predicate is implicit in which
+store a view lives in), keyed by the request's
+:class:`~repro.cache.results.RequestKey`.  It owns three things:
 
 * a **bounded query log** feeding auto-admission: every single-region
-  request that misses the MV tier records an observation under its MV
+  request that misses the MV tier records an observation under its
   key; once a key accumulates :data:`DEFAULT_ADMIT_AFTER` observations
   it is admitted using the answer the request just produced (engine
   execution or result-tier hit -- both are the exact cold answer at the
@@ -21,6 +22,11 @@ implicit in which store it lives in).  It owns three things:
   appended rows' leaf ids, and every view delta-applies
   (:meth:`MaterializedView.refresh`).
 
+A view serves only at the aggregates' ``data_version`` it is stamped
+with (:meth:`lookup`): a write through another facade over the same
+block bumps that version without refreshing this store, and the view
+then misses until the next :meth:`refresh_all` rebuilds it.
+
 Thread model: lookups/observations run under the dataset's shared read
 lock, concurrently; the store serialises its own map and counter
 mutations with an internal lock.  ``refresh_all`` runs only inside the
@@ -34,7 +40,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.materialize.view import MaterializedView, MVKey
+from repro.cache.results import RequestKey
+from repro.materialize.view import MaterializedView, materializable
 
 #: Observations (initial miss included) before a key is auto-admitted.
 DEFAULT_ADMIT_AFTER = 3
@@ -57,12 +64,12 @@ class QueryLog:
     ) -> None:
         self.capacity = capacity
         self.threshold = threshold
-        self._counts: OrderedDict[MVKey, int] = OrderedDict()
+        self._counts: OrderedDict[RequestKey, int] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._counts)
 
-    def observe(self, key: MVKey) -> bool:
+    def observe(self, key: RequestKey) -> bool:
         """Record one observation; True when ``key`` crossed the
         admission threshold (the entry is retired either way then)."""
         count = self._counts.pop(key, 0) + 1
@@ -73,7 +80,7 @@ class QueryLog:
             self._counts.popitem(last=False)
         return False
 
-    def forget(self, key: MVKey) -> None:
+    def forget(self, key: RequestKey) -> None:
         self._counts.pop(key, None)
 
 
@@ -87,7 +94,7 @@ class MaterializedStore:
         log_size: int = DEFAULT_LOG_SIZE,
     ) -> None:
         self._lock = threading.Lock()
-        self._views: OrderedDict[MVKey, MaterializedView] = OrderedDict()
+        self._views: OrderedDict[RequestKey, MaterializedView] = OrderedDict()
         self._by_name: dict[str, MaterializedView] = {}
         self._log = QueryLog(capacity=log_size, threshold=admit_after)
         self._auto_names = 0
@@ -108,13 +115,15 @@ class MaterializedStore:
 
     # -- read path -------------------------------------------------------
 
-    def lookup(self, key: MVKey | None) -> MaterializedView | None:
-        """The view serving ``key``, or None; hits bump recency."""
-        if key is None:
+    def lookup(self, key: RequestKey | None, data_version: int) -> MaterializedView | None:
+        """The view serving ``key`` exactly at ``data_version``, or
+        None; hits bump recency.  Keys no view may serve (see
+        :func:`materializable`) neither hit nor count a miss."""
+        if not materializable(key):
             return None
         with self._lock:
             view = self._views.get(key)
-            if view is None:
+            if view is None or view.data_version != data_version:
                 self.misses += 1
                 return None
             self._views.move_to_end(key)
@@ -122,10 +131,10 @@ class MaterializedStore:
             self.hits += 1
             return view
 
-    def observe(self, key: MVKey | None) -> bool:
+    def observe(self, key: RequestKey | None) -> bool:
         """Feed the admission log; True when ``key`` should be admitted
         now (the caller holds the exact current answer)."""
-        if key is None:
+        if not materializable(key):
             return False
         with self._lock:
             if key in self._views:
@@ -190,10 +199,14 @@ class MaterializedStore:
 
     # -- the write path ---------------------------------------------------
 
-    def refresh_all(self, handle, leaves: np.ndarray, version: int) -> int:  # noqa: ANN001
+    def refresh_all(
+        self, handle, leaves: np.ndarray, version: int, data_version: int  # noqa: ANN001
+    ) -> int:
         """Delta-refresh every view after an append; returns the total
-        appended-row contributions applied.  Caller holds the dataset
-        write lock (readers excluded), so no internal lock is needed
+        appended-row contributions applied.  ``data_version`` is the
+        aggregates' version before the append: views stamped otherwise
+        rebuild in full.  Caller holds the dataset write lock (readers
+        excluded), so no internal lock is needed
         for the per-view mutation -- but take it anyway to stay safe
         against direct store use outside a Dataset."""
         with self._lock:
@@ -202,7 +215,7 @@ class MaterializedStore:
         for view in views:
             incremental = view.incremental_refreshes
             full = view.full_refreshes
-            applied += view.refresh(handle, leaves, version)
+            applied += view.refresh(handle, leaves, version, data_version)
             self.incremental_refreshes += view.incremental_refreshes - incremental
             self.full_refreshes += view.full_refreshes - full
         self.delta_rows += applied

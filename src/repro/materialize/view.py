@@ -1,10 +1,15 @@
 """One materialized view: a pinned query with per-covering-cell state.
 
 A :class:`MaterializedView` persists a hot single-region query as a
-first-class read model: the query's identity (region, aggregates,
-execution hints), its current exact answer, and -- the part that makes
-incremental refresh possible -- the *unpruned* covering union together
-with one full-schema aggregate record per covering cell.
+first-class read model: the query's identity (its
+:class:`~repro.cache.results.RequestKey` -- region fingerprint,
+aggregates, execution hints -- plus the region and aggregate specs),
+its current exact answer, and -- the part that makes incremental
+refresh possible -- the *unpruned* covering union together with one
+full-schema aggregate record per covering cell.  Each view is stamped
+with the aggregates' ``data_version`` it is exact at, so a write
+through another facade over the same block (which this view's store
+never sees) makes the view miss instead of serving a stale answer.
 
 The refresh contract is bit-identity with a cold rebuild, and it holds
 by construction rather than by tolerance:
@@ -31,9 +36,10 @@ by construction rather than by tolerance:
   record re-fold cannot reproduce).  Before the trie exists the
   record re-fold applies as on every other kind.
 
-The scalar execution model is deliberately not materializable: unlike
-the kernel model it carries no bit-identity gate against the vector
-fold, so a re-fold could drift from a scalar cold rebuild by rounding.
+The scalar execution model is deliberately not materializable
+(:func:`materializable`): unlike the kernel model it carries no
+bit-identity gate against the vector fold, so a re-fold could drift
+from a scalar cold rebuild by rounding.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.cache.results import RequestKey
 from repro.cells import cellid
 from repro.cells.union import CellUnion
 from repro.core.adaptive import AdaptiveGeoBlock
@@ -50,30 +57,11 @@ from repro.core.geoblock import GeoBlock
 from repro.engine import kernels
 from repro.engine.executor import QueryResult
 
-#: MV key layout: (region fingerprint, aggregate key, resolved mode,
-#: trie hint, count_only).  The result tier's token / predicate-key
-#: components are implicit (one store per dataset or view) and its
-#: version component is deliberately absent: materialized views refresh
-#: on append instead of invalidating.
-MVKey = tuple
-
-
-def mv_key(
-    target,  # noqa: ANN001 - region geometry
-    aggs: Sequence[AggSpec],
-    mode: str | None,
-    trie: bool,
-    count_only: bool,
-) -> MVKey:
-    """The store key of a single-region query; raises TypeError for
-    targets with no geometry to fingerprint (pre-computed cell unions),
-    mirroring the result tier's key discipline."""
-    from repro.cache.results import aggregate_key
-    from repro.cells.fingerprint import region_fingerprint
-
-    if count_only:
-        return (region_fingerprint(target), "count_only", None, False, True)
-    return (region_fingerprint(target), aggregate_key(list(aggs)), mode, trie, False)
+def materializable(key: RequestKey | None) -> bool:
+    """Whether a view may serve ``key``: it needs a region fingerprint
+    (pre-computed cell unions have none), and the scalar model is
+    excluded (see the module doc)."""
+    return key is not None and key.mode != "scalar"
 
 
 def base_block(handle) -> GeoBlock:  # noqa: ANN001 - Handle union
@@ -104,9 +92,6 @@ class MaterializedView:
         "name",
         "region",
         "aggs",
-        "mode",
-        "trie_hint",
-        "count_only",
         "key",
         "covering",
         "records",
@@ -114,6 +99,7 @@ class MaterializedView:
         "pinned",
         "hits",
         "refreshed_version",
+        "data_version",
         "incremental_refreshes",
         "full_refreshes",
         "delta_rows",
@@ -124,23 +110,18 @@ class MaterializedView:
         name: str,
         region,  # noqa: ANN001 - Polygon | MultiPolygon | BoundingBox
         aggs: Sequence[AggSpec],
-        mode: str | None,
-        trie_hint: bool,
-        count_only: bool,
-        key: MVKey,
+        key: RequestKey,
         covering: CellUnion,
         records: np.ndarray | None,
         result: QueryResult,
         version: int,
+        data_version: int,
         pinned: bool = False,
         hits: int = 0,
     ) -> None:
         self.name = name
         self.region = region
         self.aggs = tuple(aggs)
-        self.mode = mode
-        self.trie_hint = trie_hint
-        self.count_only = count_only
         self.key = key
         self.covering = covering
         self.records = records
@@ -148,31 +129,40 @@ class MaterializedView:
         self.pinned = pinned
         self.hits = hits
         self.refreshed_version = version
+        self.data_version = data_version
         self.incremental_refreshes = 0
         self.full_refreshes = 0
         self.delta_rows = 0
 
     # -- refresh ---------------------------------------------------------
 
-    def refresh(self, handle, leaves: np.ndarray, version: int) -> int:  # noqa: ANN001
+    def refresh(self, handle, leaves: np.ndarray, version: int, data_version: int) -> int:  # noqa: ANN001
         """Delta-apply an append's rows and restamp; returns the number
         of appended rows that landed inside this view's covering.
 
-        Must run inside the dataset's exclusive write section, after
-        the block's arrays and header are refreshed.
+        ``data_version`` is the aggregates' version *before* the append:
+        a view stamped with another one missed a write made through
+        another facade, so every record is rebuilt (a full refresh)
+        instead of delta-applied.  Must run inside the dataset's
+        exclusive write section, after the block's arrays and header
+        are refreshed.
         """
         block = base_block(handle)
+        stale = self.data_version != data_version
+        self.refreshed_version = version
+        self.data_version = block.aggregates.data_version
         delta = 0
         if leaves.size:
             inside = self.covering.contains_leaves(leaves)
             delta = int(inside.sum())
-        if delta == 0 and self.result is not None:
+        if delta == 0 and not stale:
             # No appended row can change any covering-cell slice: the
             # stored records and answer are still exact.
-            self.refreshed_version = version
             return 0
         lo, hi = block.executor.ranges(self.covering)
-        if self.records is not None:
+        if self.records is not None and stale:
+            self.records = build_records(block, self.covering)
+        elif self.records is not None:
             touched = np.unique(
                 np.searchsorted(
                     self.covering.range_mins, leaves[inside], side="right"
@@ -185,15 +175,15 @@ class MaterializedView:
                 )
         self.delta_rows += delta
         probed = self._pruned_cells(block)
-        if self.count_only:
+        full = stale
+        if self.key.count_only:
             aggregates = block.aggregates
             count = kernels.count_segments(aggregates.offsets, aggregates.counts, lo, hi)
             self.result = QueryResult(
                 values={}, count=count, cells_probed=probed, covering_cached=True
             )
-            self.incremental_refreshes += 1
         elif (
-            self.trie_hint
+            self.key.trie
             and isinstance(handle, AdaptiveGeoBlock)
             and handle.trie is not None
         ):
@@ -203,12 +193,14 @@ class MaterializedView:
             # arithmetic to the adaptive cold path, no training side
             # effects inside the write section).
             plan = handle.plan(self.region)
-            self.result = block.executor.select(plan, list(self.aggs), mode=self.mode)
-            self.full_refreshes += 1
+            self.result = block.executor.select(plan, list(self.aggs), mode=self.key.mode)
+            full = True
         else:
             self.result = self._refold(block, lo, hi, probed)
+        if full:
+            self.full_refreshes += 1
+        else:
             self.incremental_refreshes += 1
-        self.refreshed_version = version
         return delta
 
     def _refold(
@@ -246,9 +238,9 @@ class MaterializedView:
             "name": self.name,
             "kind": "materialized",
             "aggregates": [spec.key for spec in self.aggs],
-            "mode": self.mode,
-            "trie": self.trie_hint,
-            "count_only": self.count_only,
+            "mode": self.key.mode,
+            "trie": self.key.trie,
+            "count_only": self.key.count_only,
             "pinned": self.pinned,
             "hits": self.hits,
             "version": self.refreshed_version,

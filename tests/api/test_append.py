@@ -265,6 +265,19 @@ class TestUnsupportedAndErrors:
         assert dataset.version == 1  # nothing applied
         assert dataset.query(QueryRequest(region=quad_polygon)).count == count_before
 
+    @pytest.mark.parametrize("x, y", [(float("nan"), 40.75), (-73.95, float("inf"))])
+    def test_non_finite_coordinates_rejected_atomically(self, x, y):
+        """Extract drops such points, so a rebuild could never contain
+        the row; the wire answer is a typed bad_request, not internal."""
+        service = GeoService()
+        dataset = service.register("taxi", build_dataset(make_base(), "geoblock"))
+        rows = make_rows(2) + [{"x": x, "y": y, "fare": 1.0, "distance": 1.0}]
+        envelope = service.run_dict({"v": 2, "op": "append", "dataset": "taxi", "rows": rows})
+        assert envelope["ok"] is False
+        assert envelope["error"]["code"] == BAD_REQUEST
+        assert "non-finite" in envelope["error"]["message"]
+        assert dataset.version == 1
+
     def test_empty_rows_rejected(self):
         dataset = build_dataset(make_base(), "geoblock")
         with pytest.raises(ApiError):

@@ -99,6 +99,8 @@ class TestMalformed:
             {"type": "Polygon", "coordinates": [[[0.0, 0.0], [1.0], [1.0, 1.0]]]},
             {"type": "Polygon", "coordinates": [[[0.0, 0.0], "xy", [1.0, 1.0]]]},
             {"type": "Polygon", "coordinates": [[[0.0, 0.0], [True, False], [1.0, 1.0]]]},
+            {"type": "Polygon", "coordinates": [[[0.0, 0.0], [float("nan"), 1.0], [1.0, 1.0]]]},
+            {"type": "Polygon", "coordinates": [[[0.0, 0.0], [1.0, float("inf")], [1.0, 1.0]]]},
             # Closed ring that collapses to two distinct vertices: the
             # geometry kernel's GeometryError must surface as ApiError.
             {"type": "Polygon", "coordinates": [[[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]]},

@@ -14,7 +14,7 @@ from repro.api import (
     format_agg,
     parse_agg,
 )
-from repro.api.errors import BAD_AGGREGATE, BAD_HINT, BAD_REQUEST
+from repro.api.errors import BAD_AGGREGATE, BAD_HINT, BAD_REGION, BAD_REQUEST
 from repro.core import AggSpec
 from repro.geometry import BoundingBox, MultiPolygon, Polygon
 
@@ -126,6 +126,12 @@ class TestStrictParsing:
         with pytest.raises(ApiError) as excinfo:
             parse_agg(spec)
         assert excinfo.value.code == BAD_AGGREGATE
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True])
+    def test_bbox_needs_finite_numbers(self, bad):
+        with pytest.raises(ApiError) as excinfo:
+            QueryRequest.from_dict({"v": 2, "region": {"bbox": [0, 0, 1, bad]}})
+        assert excinfo.value.code == BAD_REGION
 
     def test_non_dict_payload(self):
         with pytest.raises(ApiError) as excinfo:

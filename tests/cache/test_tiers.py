@@ -4,16 +4,7 @@ from __future__ import annotations
 
 import threading
 
-import pytest
-
-from repro.cache import (
-    CacheConfig,
-    CacheTier,
-    TieredCache,
-    configure,
-    get_cache,
-    set_cache,
-)
+from repro.cache import CacheTier, RequestKey, TieredCache
 
 
 class TestCacheTier:
@@ -54,12 +45,6 @@ class TestCacheTier:
         tier.put("a", None)
         assert tier.get("a", default=sentinel) is None
         assert tier.get("b", default=sentinel) is sentinel
-
-    def test_zero_capacity_tier_is_inert(self):
-        tier = CacheTier("off", max_entries=0)
-        tier.put("a", 1)
-        assert tier.get("a") is None
-        assert len(tier) == 0
 
     def test_clear_resets_counters(self):
         tier = CacheTier("test", max_entries=2)
@@ -107,27 +92,13 @@ class TestCacheTier:
         assert tier.hits + tier.misses == 8 * 500
 
 
-class TestConfig:
-    def test_rejects_empty_covering_tier(self):
-        with pytest.raises(ValueError):
-            CacheConfig(covering_entries=0)
-
-    def test_result_tier_can_be_disabled(self):
-        cache = TieredCache(CacheConfig(result_entries=0))
-        cache.results.put("k", "v")
-        assert cache.results.get("k") is None
-
-    def test_rejects_negative_result_entries(self):
-        with pytest.raises(ValueError):
-            CacheConfig(result_entries=-1)
-
-
 class TestTieredCache:
     def test_invalidate_dataset_drops_only_matching_tokens(self):
         cache = TieredCache()
-        cache.results.put((1, "TRUE", 1, "fp", "count", None, False, False), "a")
-        cache.results.put((1, "x > 1", 2, "fp", "count", None, False, False), "b")
-        cache.results.put((2, "TRUE", 1, "fp", "count", None, False, False), "c")
+        request = RequestKey("fp", "count(*)", "kernel", False, False)
+        cache.results.put((1, "TRUE", 1, request), "a")
+        cache.results.put((1, "x > 1", 2, request), "b")
+        cache.results.put((2, "TRUE", 1, request), "c")
         assert cache.invalidate_dataset(1) == 2
         assert len(cache.results) == 1
         assert cache.results.evictions == 2
@@ -136,16 +107,3 @@ class TestTieredCache:
         stats = TieredCache().stats()
         assert set(stats) == {"covering", "result"}
         assert stats["covering"]["entries"] == 0
-
-
-class TestGlobalInstance:
-    def test_configure_replaces_and_restores(self):
-        original = get_cache()
-        try:
-            replaced = configure(covering_entries=7, result_entries=3)
-            assert get_cache() is replaced
-            assert replaced.coverings.max_entries == 7
-            assert replaced.results.max_entries == 3
-        finally:
-            set_cache(original)
-        assert get_cache() is original

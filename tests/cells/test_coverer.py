@@ -91,6 +91,13 @@ class TestStructure:
         assert len(union) >= 1
         assert bool((union.levels() <= 10).all())
 
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_region_outside_the_domain_has_an_empty_covering(self, coverer, interior):
+        outside = Polygon.regular(200.0, 95.0, 1.0, 4)
+        assert len(coverer.covering_scalar(outside, 12, interior)) == 0
+        cover = coverer.interior_covering if interior else coverer.covering
+        assert len(cover(outside, 12)) == 0
+
     def test_invalid_level_rejected(self, coverer, quad):
         with pytest.raises(CellError):
             coverer.covering(quad, 31)

@@ -48,6 +48,17 @@ class TestKeying:
         outside = EARTH.leaf_id(200.0, 95.0)
         assert inside == outside
 
+    def test_far_points_clamp_to_the_nearest_edge(self):
+        """Finite points so far out that the scaled coordinate
+        overflows still land in the edge cell on their side, in the
+        scalar (append) and vectorised (extract) keying alike."""
+        points = [(1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)]
+        corners = [(180.0, 90.0), (-180.0, -90.0), (180.0, -90.0)]
+        scalar = [EARTH.leaf_id(x, y) for x, y in points]
+        assert scalar == [EARTH.leaf_id(x, y) for x, y in corners]
+        xs, ys = (np.array(axis) for axis in zip(*points))
+        assert EARTH.leaf_ids(xs, ys).tolist() == scalar
+
 
 class TestCellGeometry:
     def test_cell_bounds_nest(self):

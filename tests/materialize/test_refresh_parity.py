@@ -216,3 +216,36 @@ class TestFilteredViewRefresh:
         assert served.stats.mv_cached == 1
         assert served.version == dataset.version
         assert_bit_identical(served, before, served.count)
+
+
+class TestWriteThroughAnotherFacade:
+    """A second Dataset over the same block shares its aggregates but
+    not its MV store: a write through one facade must never let the
+    other serve a view computed before that write."""
+
+    def test_stale_view_misses_after_a_foreign_append(self, kind):
+        writer = build_dataset(make_base(), kind)
+        reader = Dataset(writer.handle, name="taxi", cache=TieredCache())
+        req = request()
+        for _ in range(4):  # the third observation admits the view
+            reader.query(req)
+        assert reader.query(req).stats.mv_cached == 1
+        writer.append(make_rows())
+        served = reader.query(req)
+        assert served.stats.mv_cached == 0
+        assert_bit_identical(served, *cold_answer(reader, req))
+        assert reader.materialized.stats()["misses"] >= 1
+
+    def test_own_append_rebuilds_a_stale_view(self, kind):
+        writer = build_dataset(make_base(), kind)
+        reader = Dataset(writer.handle, name="taxi", cache=TieredCache())
+        req = request()
+        reader.materialize(req, name="hot")
+        writer.append(make_rows(seed=7))
+        reader.append(make_rows(seed=11))
+        view = reader.materialized.views()[0]
+        assert view.full_refreshes == 1
+        assert view.incremental_refreshes == 0
+        served = reader.query(req)
+        assert served.stats.mv_cached == 1
+        assert_bit_identical(served, *cold_answer(reader, req))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import Dataset, QueryRequest, TieredCache
+from repro.cache import RequestKey
 from repro.cells import EARTH
 from repro.engine.executor import QueryResult
 from repro.geometry import Polygon
@@ -33,6 +34,10 @@ def make_dataset(**kwargs):
     return Dataset.build(make_base(), LEVEL, "geoblock", name="taxi", **kwargs)
 
 
+def stub_key(fingerprint):
+    return RequestKey(fingerprint, "count_only", None, False, True)
+
+
 def stub_view(name, key, pinned=False):
     from repro.cells.union import CellUnion
 
@@ -40,14 +45,12 @@ def stub_view(name, key, pinned=False):
         name=name,
         region=REGION,
         aggs=(),
-        mode=None,
-        trie_hint=False,
-        count_only=True,
         key=key,
         covering=CellUnion(np.asarray([3], dtype=np.int64)),
         records=None,
         result=QueryResult(values={}, count=0),
         version=1,
+        data_version=0,
         pinned=pinned,
     )
 
@@ -80,34 +83,34 @@ class TestQueryLog:
 class TestStoreBookkeeping:
     def test_duplicate_key_and_name_raise(self):
         store = MaterializedStore()
-        store.admit(stub_view("a", key=("k",)))
+        store.admit(stub_view("a", key=stub_key("k")))
         with pytest.raises(KeyError):
-            store.admit(stub_view("b", key=("k",)))
+            store.admit(stub_view("b", key=stub_key("k")))
         with pytest.raises(KeyError):
-            store.admit(stub_view("a", key=("other",)))
+            store.admit(stub_view("a", key=stub_key("other")))
 
     def test_eviction_skips_pinned(self):
         store = MaterializedStore(max_views=2)
-        store.admit(stub_view("pinned", key=("p",), pinned=True))
-        store.admit(stub_view("a", key=("a",)))
-        store.admit(stub_view("b", key=("b",)))  # over bound: "a" evicts
-        assert store.lookup(("p",)) is not None
-        assert store.lookup(("a",)) is None
-        assert store.lookup(("b",)) is not None
+        store.admit(stub_view("pinned", key=stub_key("p"), pinned=True))
+        store.admit(stub_view("a", key=stub_key("a")))
+        store.admit(stub_view("b", key=stub_key("b")))  # over bound: "a" evicts
+        assert store.lookup(stub_key("p"), 0) is not None
+        assert store.lookup(stub_key("a"), 0) is None
+        assert store.lookup(stub_key("b"), 0) is not None
         assert store.evictions == 1
 
     def test_drop_and_clear(self):
         store = MaterializedStore()
-        store.admit(stub_view("a", key=("a",)))
+        store.admit(stub_view("a", key=stub_key("a")))
         assert store.drop("missing") is None
         assert store.drop("a").name == "a"
-        store.admit(stub_view("b", key=("b",)))
+        store.admit(stub_view("b", key=stub_key("b")))
         assert store.clear() == 1
         assert len(store) == 0
 
     def test_stats_shape(self):
         store = MaterializedStore()
-        store.admit(stub_view("a", key=("a",), pinned=True))
+        store.admit(stub_view("a", key=stub_key("a"), pinned=True))
         stats = store.stats()
         assert stats["views"] == 1
         assert stats["pinned"] == 1

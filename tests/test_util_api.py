@@ -90,7 +90,7 @@ class TestPublicApi:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "2.0.0"
+        assert repro.__version__ == "3.0.0"
 
     def test_error_hierarchy(self):
         from repro import BuildError, CellError, GeometryError, QueryError, ReproError, SchemaError
